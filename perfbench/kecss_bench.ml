@@ -4,11 +4,12 @@
 
      kecss_bench --workload NAME --seed N --seconds S --trace 0|1
 
-   Set-up generates the workload's inputs from the seed, writes them to
-   files and (for serve) creates the resident server; it is repeated
-   and its median reported as setup_s. The timed part then repeats
-   "passes" (one gated solve pipeline over the workload's inputs, or one
-   serve session) while another pass still fits in S seconds. Every solve result is lifted to the original
+   Set-up generates the workload's inputs from the seed, encodes them
+   and (for serve) creates the resident server. The timed part
+   repeats "passes" (one gated solve pipeline over the workload's
+   inputs, or one serve session) while another pass still fits in S
+   seconds of pass time; wall_s is the median pass. Between passes the
+   set-up is repeated in slices, and setup_s is the median slice. Every solve result is lifted to the original
    graph and checked by [Verify.check_kecss ~cap:k]; every serve reply
    is checked; a failure is counted, never fatal.
 
@@ -44,6 +45,7 @@ let percentile q = function
     else a.(i) +. ((pos -. float_of_int i) *. (a.(i + 1) -. a.(i)))
 
 let median = percentile 0.5
+
 let now_s () = Unix.gettimeofday ()
 let mib_of_words w = w *. float_of_int (Sys.word_size / 8) /. 1048576.
 
@@ -119,6 +121,7 @@ type solver = Rounds.t -> Graph.t -> Bitset.t * int * int
 
 type solve_input = {
   file : string;
+  encoded : string;  (* the file's contents, written once after set-up *)
   k : int;
   lower : int Lazy.t;  (* Lower_bound.best, forced after set-up *)
   sparsify : Sparsify.mode option;
@@ -388,19 +391,20 @@ type instance = Solves of solve_input list | Serve of serve_state
 
 type workload = {
   name : string;
-  (* generate and write the inputs; returns the instance and, for
-     serve, the seconds Server.create took *)
+  (* generate and encode the inputs (files are named in [dir], written
+     by the caller); returns the instance and, for serve, the seconds
+     Server.create took *)
   setup : seed:int -> dir:string -> instance * float option;
 }
 
 let weighted rng g = Weights.uniform rng ~lo:1 ~hi:100 g
 
-let write_text path g =
+let write_file path contents =
   let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Io.to_channel oc g)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-let solve_input ~file ~k ?sparsify solver g =
-  { file; k; lower = lazy (Lower_bound.best g ~k); sparsify; solver }
+let solve_input ~file ~encoded ~k ?sparsify solver g =
+  { file; encoded; k; lower = lazy (Lower_bound.best g ~k); sparsify; solver }
 
 (* [count] instances, each from its own stream split off the seed's *)
 let instances ~seed count make =
@@ -420,11 +424,10 @@ let workloads =
       setup =
         (fun ~seed ~dir ->
           ( Solves
-              (instances ~seed 3 (fun i rng ->
-                   let g = weighted rng (Gen.random_k_connected rng 2048 2 ~extra:2048) in
+              (instances ~seed 4 (fun i rng ->
+                   let g = weighted rng (Gen.random_k_connected rng 1024 2 ~extra:1024) in
                    let file = Filename.concat dir (Printf.sprintf "engine-%d.kbin" i) in
-                   Io.save_binary file g;
-                   [ solve_input ~file ~k:2 ecss2 g ])),
+                   [ solve_input ~file ~encoded:(Io.to_binary_string g) ~k:2 ecss2 g ])),
             None ));
     };
     {
@@ -432,14 +435,13 @@ let workloads =
       setup =
         (fun ~seed ~dir ->
           ( Solves
-              (instances ~seed 5 (fun i rng ->
-                   let g3 = Gen.random_k_connected rng 96 3 ~extra:96 in
-                   let gk = weighted rng (Gen.random_k_connected rng 64 3 ~extra:64) in
+              (instances ~seed 12 (fun i rng ->
+                   let g3 = Gen.random_k_connected rng 56 3 ~extra:56 in
+                   let gk = weighted rng (Gen.random_k_connected rng 40 3 ~extra:40) in
                    let f3 = Filename.concat dir (Printf.sprintf "ecss3-%d.kecss" i)
                    and fk = Filename.concat dir (Printf.sprintf "kecss3-%d.kecss" i) in
-                   write_text f3 g3;
-                   write_text fk gk;
-                   [ solve_input ~file:f3 ~k:3 ecss3 g3; solve_input ~file:fk ~k:3 kecss3 gk ])),
+                   [ solve_input ~file:f3 ~encoded:(Io.to_string g3) ~k:3 ecss3 g3;
+                     solve_input ~file:fk ~encoded:(Io.to_string gk) ~k:3 kecss3 gk ])),
             None ));
     };
     {
@@ -447,12 +449,12 @@ let workloads =
       setup =
         (fun ~seed ~dir ->
           ( Solves
-              (instances ~seed 1 (fun _ rng ->
-                   let n = 2048 in
-                   let g = weighted rng (Gen.random_k_connected rng n 2 ~extra:((1 lsl 19) - n)) in
-                   let file = Filename.concat dir "dense.kecss" in
-                   write_text file g;
-                   [ solve_input ~file ~k:2 ~sparsify:Sparsify.Certificate ecss2 g ])),
+              (instances ~seed 2 (fun i rng ->
+                   let n = 1024 in
+                   let g = weighted rng (Gen.random_k_connected rng n 2 ~extra:((3 lsl 16) - n)) in
+                   let file = Filename.concat dir (Printf.sprintf "dense-%d.kecss" i) in
+                   [ solve_input ~file ~encoded:(Io.to_string g) ~k:2
+                       ~sparsify:Sparsify.Certificate ecss2 g ])),
             None ));
     };
     {
@@ -460,7 +462,7 @@ let workloads =
       setup =
         (fun ~seed ~dir:_ ->
           let rng = Rng.create ~seed in
-          let g = weighted rng (Gen.random_k_connected rng 512 2 ~extra:1024) in
+          let g = weighted rng (Gen.random_k_connected rng 384 2 ~extra:768) in
           let script = flap_script (Rng.split rng) g ~flaps:16 in
           let t0 = now_s () in
           let srv = Server.create ~seed:1 g ~k:2 in
@@ -486,11 +488,16 @@ let planted_rejected () =
 
 (* ----- one run ----- *)
 
-(* set-up runs at least [setup_min_reps] times and until [setup_min_s]
-   seconds have gone, so that cheap set-ups still give a steady median *)
-let setup_min_reps = 3
-let setup_min_s = 0.5
-let setup_max_reps = 200
+(* Set-up repeats for this share of the run's pass time, in slices
+   between passes, so that a cheap set-up is timed over many repetitions;
+   a run takes at least [setup_min_slices] samples. *)
+let setup_share = 0.15
+let setup_min_slices = 3
+
+(* Passes a run makes whatever its budget: enough that wall_s is the
+   median of several, and on serve-churn enough sessions for 128 update
+   samples, so that p90 has at least 10 samples beyond it. *)
+let min_passes = function Solves _ -> 3 | Serve _ -> 4
 
 let new_pass ~sp ~traced =
   { sp; traced; lay = Hashtbl.create 32; attempted = 0; failed = 0; fp = [];
@@ -511,6 +518,10 @@ let run_pass ~sp ~traced ~index inst =
   let wall = now_s () -. t0 in
   Gc.full_major ();
   { ctx = p; wall; alloc = Prof.allocated_words () -. a0 }
+
+(* identifies the harness binary, and with it the code under test *)
+let build_id =
+  lazy (String.sub (Digest.to_hex (Digest.file Sys.executable_name)) 0 16)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -547,10 +558,12 @@ let write_lines path lines =
     ~finally:(fun () -> close_out oc)
     (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines)
 
-(* Determinism cross-check. Pass i of every run on one seed, traced or
-   not, must reproduce the same fingerprint line; the lines are kept
-   between runs in the state directory. Solve passes must also agree
-   with each other. Returns the number of mismatching passes. *)
+(* Determinism cross-check. Pass i of every run of one build on one
+   seed, traced or not, must reproduce the same fingerprint line; the
+   lines are kept between runs in the state directory, in a file named
+   after the build, so that another build of the code starts its own
+   reference. Solve passes must also agree with each other. Returns the
+   number of mismatching passes. *)
 let check_fingerprints ~path ~solves lines =
   let stored = read_lines path in
   let rec compare_prefix a b =
@@ -618,8 +631,6 @@ let workload_specific ~serve ~fail_frac passes =
   ::
   (if serve then
      serve_metrics passes
-     @ [ { mname = "update_samples"; unit_ = "count";
-           value = float_of_int (List.length (samples_of "update" passes)) } ]
    else
      [
        { mname = "rounds"; unit_ = "rounds"; value = float_of_int first.rounds };
@@ -731,50 +742,69 @@ let run_workload ~state_dir ~seed ~seconds ~trace w =
   Fun.protect
     ~finally:(fun () -> remove_tree dir)
     (fun () ->
-      (* set-up, repeated so that setup_s is a median; the last
-         instance is the one measured *)
-      let times = ref [] and creates = ref [] and last = ref None in
-      while
-        List.length !times < setup_min_reps
-        || (List.fold_left ( +. ) 0. !times < setup_min_s
-           && List.length !times < setup_max_reps)
-      do
-        last := None;
+      (* The instance measured is set up once before the first pass, and
+         its input files are written. Set-up is then repeated in slices
+         between passes, so that its samples are spread over the run as
+         the passes are; a slice's sample is its time per repetition.
+         Writing files is left out of setup_s: it times the host's file
+         system more than the program. *)
+      let inst, _ = w.setup ~seed ~dir in
+      (match inst with
+      | Solves inputs -> List.iter (fun i -> write_file i.file i.encoded) inputs
+      | Serve _ -> ());
+      let times = ref [] and creates = ref [] and setup_spent = ref 0. in
+      (* a slice runs while set-up has had less than its share of the
+         pass time so far, and at least once *)
+      let setup_slice ~pass_spent =
         Gc.full_major ();
         let t0 = now_s () in
-        let inst, create_s = w.setup ~seed ~dir in
-        times := (now_s () -. t0) :: !times;
-        Option.iter (fun c -> creates := c :: !creates) create_s;
-        last := Some inst
-      done;
-      let setup_s = median !times and create_s = median !creates in
-      let inst = Option.get !last in
+        let reps = ref 0 and create = ref None in
+        while
+          !reps = 0 || !setup_spent +. now_s () -. t0 < setup_share *. pass_spent
+        do
+          let _, create_s = w.setup ~seed ~dir in
+          incr reps;
+          Option.iter
+            (fun c -> create := Some (c +. Option.value ~default:0. !create))
+            create_s
+        done;
+        let reps = float_of_int !reps in
+        setup_spent := !setup_spent +. now_s () -. t0;
+        times := ((now_s () -. t0) /. reps) :: !times;
+        Option.iter (fun c -> creates := (c /. reps) :: !creates) !create
+      in
       (match inst with
       | Solves inputs -> List.iter (fun i -> ignore (Lazy.force i.lower)) inputs
       | Serve st -> ignore (Lazy.force st.slower));
       let planted = planted_rejected () in
       let traced_sp = Spans.create ~enabled:true in
       let off = Spans.create ~enabled:false in
-      let t_start = now_s () in
-      let passes = ref [] in
-      let min_passes = if trace then 2 else 1 in
+      let passes = ref [] and spent = ref 0. in
+      (* a traced run alternates, so it makes twice the untraced passes *)
+      let min_passes = (if trace then 2 else 1) * min_passes inst in
       let index = ref 0 in
-      (* stop before a pass would overrun the budget *)
-      while
-        !index < min_passes
-        || now_s () -. t_start +. (List.hd !passes).wall <= seconds
-      do
+      (* the budget is pass time: stop before a pass would overrun it *)
+      while !index < min_passes || !spent +. (List.hd !passes).wall <= seconds do
         let traced = trace && !index mod 2 = 1 in
         let sp = if traced then traced_sp else off in
-        passes := run_pass ~sp ~traced ~index:!index inst :: !passes;
+        let pass = run_pass ~sp ~traced ~index:!index inst in
+        passes := pass :: !passes;
+        spent := !spent +. pass.wall;
+        if !setup_spent < setup_share *. !spent then setup_slice ~pass_spent:!spent;
         incr index
       done;
+      while List.length !times < setup_min_slices do
+        setup_slice ~pass_spent:0.
+      done;
+      let setup_s = median !times and create_s = median !creates in
       let passes = List.rev !passes in
       let fingerprint_dir = Filename.concat state_dir "fingerprints" in
       mkdir_p fingerprint_dir;
       let mismatches =
         check_fingerprints
-          ~path:(Filename.concat fingerprint_dir (Printf.sprintf "%s-%d.txt" w.name seed))
+          ~path:
+            (Filename.concat fingerprint_dir
+               (Printf.sprintf "%s-%d-%s.txt" w.name seed (Lazy.force build_id)))
           ~solves:(match inst with Solves _ -> true | Serve _ -> false)
           (List.map (fun r -> String.concat " | " (List.rev r.ctx.fp)) passes)
       in
@@ -782,11 +812,21 @@ let run_workload ~state_dir ~seed ~seconds ~trace w =
       let failed = mismatches + List.fold_left (fun a r -> a + r.ctx.failed) 0 passes in
       let fail_frac = float_of_int failed /. float_of_int (max 1 attempted) in
       let serve = match inst with Serve _ -> true | Solves _ -> false in
+      let untraced = List.filter (fun r -> not r.ctx.traced) passes in
       let correct = failed = 0 && planted in
       Printf.printf "workload %s  seed %d  passes %d  attempted %d  failed %d  \
                      fingerprint mismatches %d  planted failure %s\n"
         w.name seed (List.length passes) attempted failed mismatches
         (if planted then "counted as failed" else "NOT CAUGHT");
+      Printf.printf "set-up slices (s):%s\n"
+        (String.concat "" (List.rev_map (Printf.sprintf " %.6f") !times));
+      if serve then begin
+        (* latency percentiles come from the untraced sessions *)
+        let updates = samples_of "update" untraced in
+        let p90 = percentile 0.9 updates in
+        Printf.printf "update samples %d, %d beyond p90\n" (List.length updates)
+          (List.length (List.filter (fun v -> v > p90) updates))
+      end;
       Printf.printf "pass walls (s):%s\n"
         (String.concat "" (List.map (fun r -> Printf.sprintf " %.3f%s" r.wall (if r.ctx.traced then "t" else "")) passes));
       let metrics =
@@ -799,7 +839,6 @@ let run_workload ~state_dir ~seed ~seconds ~trace w =
         end
         else begin
           let traced = List.filter (fun r -> r.ctx.traced) passes in
-          let untraced = List.filter (fun r -> not r.ctx.traced) passes in
           let layer, shares =
             per_layer ~serve ~create_s ~planted ~spans:(Spans.spans traced_sp)
               ~untraced ~traced

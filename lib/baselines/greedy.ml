@@ -67,11 +67,6 @@ let tap g tree =
 
 let augmentation g ~h ~k =
   let a = Graph.no_edges_mask g in
-  let mask_union () =
-    let u = Bitset.copy h in
-    Bitset.union_into u a;
-    u
-  in
   if Edge_connectivity.is_k_edge_connected ~mask:h g k then a
   else begin
     let rng = Rng.create ~seed:0x9e3779b9 in
@@ -114,40 +109,23 @@ let augmentation g ~h ~k =
             end)
           cuts)
     done;
-    (* exact repair loop, as in the distributed implementation *)
-    let guard = ref 0 in
-    while not (Edge_connectivity.is_k_edge_connected ~mask:(mask_union ()) g k) do
-      incr guard;
-      if !guard > Graph.m g then
-        failwith "Greedy.augmentation: graph is not k-edge-connected";
-      let _, side, _ = Edge_connectivity.global_min_cut ~mask:(mask_union ()) g in
-      let best = ref None in
-      Graph.iter_edges
-        (fun e ->
-          if
-            (not (Bitset.mem h e.Graph.id || Bitset.mem a e.Graph.id))
-            && Bitset.mem side e.Graph.u <> Bitset.mem side e.Graph.v
-          then
-            match !best with
-            | Some (w, id) when (w, id) <= (e.Graph.w, e.Graph.id) -> ()
-            | _ -> best := Some (e.Graph.w, e.Graph.id))
-        g;
-      match !best with
-      | Some (_, e) -> Bitset.add a e
-      | None -> failwith "Greedy.augmentation: graph is not k-edge-connected"
-    done;
+    (* the exact repair net, as in the distributed implementation *)
+    List.iter (Bitset.add a)
+      (Edge_connectivity.greedy_repair g ~base:h ~add:a ~k);
     a
   end
 
 let kruskal_mst g =
-  let edges = Array.copy (Graph.edges g) in
-  Array.sort (fun a b -> compare (a.Graph.w, a.Graph.id) (b.Graph.w, b.Graph.id)) edges;
+  let ids = Array.init (Graph.m g) Fun.id in
+  let w = Graph.weight g in
+  Array.sort (fun a b -> compare (w a, a) (w b, b)) ids;
   let uf = Union_find.create (Graph.n g) in
   let mask = Graph.no_edges_mask g in
   Array.iter
     (fun e ->
-      if Union_find.union uf e.Graph.u e.Graph.v then Bitset.add mask e.Graph.id)
-    edges;
+      if Union_find.union uf (Graph.edge_u g e) (Graph.edge_v g e) then
+        Bitset.add mask e)
+    ids;
   mask
 
 let kecss g ~k =

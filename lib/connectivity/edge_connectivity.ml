@@ -60,3 +60,31 @@ let global_min_cut ?mask g =
     let side = Maxflow.min_cut_side net in
     (lam, side, Maxflow.cut_edges ?mask g side)
   end
+
+let greedy_repair ?weight g ~base ~add ~k =
+  let weight = match weight with Some w -> w | None -> Graph.weight g in
+  let union = Bitset.copy base in
+  Bitset.union_into union add;
+  let rec go added =
+    if is_k_edge_connected ~mask:union g k then List.rev added
+    else begin
+      let _, side, _ = global_min_cut ~mask:union g in
+      let crosses e =
+        Bitset.mem side (Graph.edge_u g e) <> Bitset.mem side (Graph.edge_v g e)
+      in
+      (* ascending ids, strict improvement: the (weight, id) minimum *)
+      let best = ref (-1) in
+      for e = 0 to Graph.m g - 1 do
+        if
+          (not (Bitset.mem union e))
+          && crosses e
+          && (!best < 0 || weight e < weight !best)
+        then best := e
+      done;
+      if !best < 0 then
+        failwith "Edge_connectivity.greedy_repair: graph is not k-edge-connected";
+      Bitset.add union !best;
+      go (!best :: added)
+    end
+  in
+  go []

@@ -22,3 +22,15 @@ val global_min_cut : ?mask:Bitset.t -> Graph.t -> int * Bitset.t * int list
 (** [global_min_cut g] is [(λ, side, cut)] for a minimum cardinality cut:
     the vertex set [side] (containing vertex 0) and the ids of the λ
     crossing edges. Requires a connected (sub)graph with n ≥ 2. *)
+
+val greedy_repair :
+  ?weight:(int -> int) -> Graph.t -> base:Bitset.t -> add:Bitset.t -> k:int ->
+  int list
+(** The exact repair net of the augmentation solvers. While [base ∪ add]
+    is not k-edge-connected, add the cheapest edge outside the union, by
+    [(weight, id)], that crosses a {!global_min_cut} of the union.
+    [weight] defaults to {!Graph.weight}. Returns the added ids in the
+    order they were added; [base] and [add] are left unchanged.
+    @raise Failure ["Edge_connectivity.greedy_repair: graph is not
+    k-edge-connected"] when a minimum cut of the union has no crossing
+    edge left. *)

@@ -15,18 +15,20 @@
        active candidate's cuts end the iteration covered (Claim 4.3).}}
 
     The size-(k−1) cuts of H are its minimum cuts; they are enumerated with
-    {!Kecss_connectivity.Min_cut_enum} (complete w.h.p.), and an exact
-    connectivity re-check with greedy repair backs the termination
-    condition, so the output is unconditionally k-edge-connected.
+    {!Kecss_connectivity.Min_cut_enum} (complete w.h.p.) and covered on
+    {!Cover}'s coverage state, with p drawn from {!Cover.Schedule}. The
+    exact repair net
+    {!Kecss_connectivity.Edge_connectivity.greedy_repair} backs the
+    termination condition, so the output is unconditionally
+    k-edge-connected.
 
     Round accounting: one full message-level distributed MST is executed on
-    the filter weights of the first iteration and its measured cost is
-    charged to every subsequent iteration (same protocol, same topology —
-    only weights change, which does not affect the phase structure);
-    set [real_mst_every_iteration] to re-execute it each time. Newly added
-    edges are pipeline-broadcast over the BFS tree every iteration (the
-    "all vertices know A" invariant), and the maximum-ρ̃ agreement costs
-    O(D) waves. *)
+    the filter weights of the first iteration, and its measured cost is
+    charged to that and every later iteration. The protocol and topology
+    stay the same and only the weights change, which does not affect the
+    phase structure. Newly added edges are pipeline-broadcast over the BFS
+    tree every iteration (the "all vertices know A" invariant), and the
+    maximum-ρ̃ agreement costs O(D) waves. *)
 
 open Kecss_graph
 open Kecss_congest
@@ -34,7 +36,6 @@ open Kecss_congest
 type config = {
   m_phase : int;  (** the constant M: phase length is [m_phase·⌈log₂ n⌉] *)
   max_iterations : int;  (** safety bound; after it p is pinned to 1 *)
-  real_mst_every_iteration : bool;
   use_mst_filter : bool;
       (** [false] disables the Line-4 MST filter (every active candidate is
           kept) — the A-mstfilter ablation. A then need not stay a forest

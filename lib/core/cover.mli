@@ -11,6 +11,21 @@
     {!Mds} instantiates it for minimum dominating set exactly as in Jia
     et al. [17].
 
+    What the solvers share from here:
+    {ul
+    {- the coverage state ({!init}, {!commit}, {!max_level}, {!iter_at},
+       {!ce}, {!uncovered}, {!chosen}): {!Augk} runs on it with the
+       size-(k−1) cuts of H as elements and the edges as candidates;}
+    {- the probability-guessing {!Schedule}: {!Guessing}, {!Augk} and
+       {!Ecss3} all draw, reset and double through it;}
+    {- the exact repair net that ends both augmentations lives beside the
+       cut queries, as {!Kecss_connectivity.Edge_connectivity.greedy_repair}.}}
+    What stays local: {!Tap} keeps its CSR path state (its coverage is
+    per tree edge, updated along fundamental paths, and it is the 2-ECSS
+    engine's hot path), and {!Ecss3} keeps its label-based coverage —
+    its cut pairs exist only through the circulation labels, so there is
+    no element list to hand to {!init}.
+
     The framework is combinatorial (no round accounting): each concrete
     distributed instantiation charges its own communication, as the main
     algorithms do. *)
@@ -70,3 +85,81 @@ val greedy : ?initial:Bitset.t -> problem -> Bitset.t
     result includes the warm-started candidates. *)
 
 val is_cover : problem -> Bitset.t -> bool
+
+val log2_ceil : int -> int
+(** [log2_ceil n] is the least [l] with [2^l >= n] (0 for [n <= 1]). *)
+
+(** {1 The probability-guessing schedule}
+
+    The §4 policy, shared by {!Guessing}, {!Augk} and {!Ecss3}. A
+    schedule holds [p = 2^-p_exp]. Entering a new level resets
+    [p_exp] to [⌈log₂(candidates+1)⌉]; every [phase_len =
+    max 1 (m_phase·⌈log₂(n+1)⌉)] iterations at one level it decrements
+    [p_exp] (doubling p) until p = 1. Each reset and each doubling
+    counts one phase and emits {!Kecss_obs.Events.probability_doubling}
+    on the schedule's trace. *)
+module Schedule : sig
+  type t
+
+  val create :
+    ?trace:Kecss_obs.Trace.t ->
+    algo:string ->
+    m_phase:int ->
+    n:int ->
+    candidates:int ->
+    unit ->
+    t
+  (** The default trace is {!Kecss_obs.Trace.noop}, which is how {!solve}
+      skips the events. *)
+
+  val enter : t -> Cost.level -> unit
+  (** Start of an iteration at the given level: resets the schedule when
+      the level differs from the previous iteration's. *)
+
+  val pin : t -> unit
+  (** Force p = 1 until the next reset (the iteration-bound fallback). *)
+
+  val draw : t -> Rng.t -> bool
+  (** One activation: [true] with probability p. At p = 1 no randomness
+      is consumed. *)
+
+  val at_one : t -> bool
+  (** p = 1. *)
+
+  val tick : t -> unit
+  (** End of an iteration: doubles p when the phase is complete. *)
+
+  val phases : t -> int
+  (** Resets plus doublings so far. *)
+end
+
+(** {1 The coverage state}
+
+    The bookkeeping under {!solve} and {!greedy}, exposed for callers that
+    drive their own iterations. *)
+
+type state
+
+val init : problem -> state
+(** Every element uncovered, every candidate indexed at its
+    {!Cost.level}. Unlike {!solve} and {!greedy}, [init] does not reject
+    uncoverable elements: such an element keeps {!uncovered} positive
+    after {!max_level} has dropped to {!Cost.useless}. Raises
+    [Invalid_argument] on negative sizes or an out-of-range element. *)
+
+val commit : state -> int -> unit
+(** Choose a candidate: its uncovered elements become covered and every
+    candidate covering them loses that coverage. Idempotent. *)
+
+val max_level : state -> Cost.level
+(** The highest level over unchosen candidates; {!Cost.useless} when none
+    covers an uncovered element. *)
+
+val iter_at : state -> Cost.level -> (int -> unit) -> unit
+(** The unchosen candidates at exactly that level, ascending. *)
+
+val ce : state -> int -> int
+(** How many uncovered elements the candidate covers. *)
+
+val uncovered : state -> int
+val chosen : state -> Bitset.t

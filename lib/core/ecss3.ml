@@ -6,12 +6,8 @@ module Labels = Kecss_cycle_space.Labels
 
 type config = { m_phase : int; max_iterations : int; bits : int }
 
-let log2_ceil n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
-  go 0 1
-
 let default_config n =
-  let l = max 1 (log2_ceil (n + 1)) in
+  let l = max 1 (Cover.log2_ceil (n + 1)) in
   { m_phase = 1; max_iterations = (20 * l * l * l) + 500; bits = Labels.default_bits }
 
 type result = {
@@ -52,30 +48,24 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
   (* static per-candidate data, computed once: the ids outside H in
      ascending order, their weights, and the §5.3 exchange path lengths
      (tree depths never change) — iterations then scan only candidates *)
-  let edges = Graph.edges g in
   let cand =
-    let acc = ref [] in
-    Graph.iter_edges
-      (fun e -> if not (Bitset.mem h e.Graph.id) then acc := e.Graph.id :: !acc)
-      g;
-    Array.of_list (List.rev !acc)
+    List.init m Fun.id
+    |> List.filter (fun e -> not (Bitset.mem h e))
+    |> Array.of_list
   in
-  let cand_w = Array.map (fun id -> edge_weight edges.(id)) cand in
-  let exch_len = Array.make (max 1 m) 0 in
-  Graph.iter_edges
-    (fun e ->
-      let u, v = Graph.endpoints g e.Graph.id in
-      exch_len.(e.Graph.id) <-
-        1 + min (Rooted_tree.depth tree u) (Rooted_tree.depth tree v))
-    g;
+  let cand_w = Array.map edge_weight cand in
+  let exch_len =
+    let depth = Rooted_tree.depth tree in
+    Array.init m (fun e ->
+        1 + min (depth (Graph.edge_u g e)) (depth (Graph.edge_v g e)))
+  in
   let cand_level = Array.make (max 1 m) Cost.useless in
   let iterations = ref 0 in
-  let phases = ref 0 in
-  let current_level = ref Cost.useless in
   let level_cap = ref max_int in
-  let p_exp = ref 0 in
-  let phase_iter = ref 0 in
-  let phase_len = max 1 (config.m_phase * log2_ceil (n + 1)) in
+  let schedule =
+    Cover.Schedule.create ~trace:tr ~algo:"ecss3" ~m_phase:config.m_phase ~n
+      ~candidates:m ()
+  in
   Events.instance_size tr ~algo:"ecss3" ~n;
   let finished = ref false in
   while not !finished do
@@ -120,15 +110,7 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
         Events.iteration_end tr ~algo:"ecss3" ~added:0 ~remaining:0
       end
       else begin
-        if level <> !current_level then begin
-          current_level := level;
-          p_exp := log2_ceil (m + 1);
-          phase_iter := 0;
-          incr phases;
-          Events.probability_doubling tr ~algo:"ecss3" ~p_exp:!p_exp
-            ~phase:!phases ~reset:true
-        end;
-        let p = Float.pow 2.0 (float_of_int (- !p_exp)) in
+        Cover.Schedule.enter schedule level;
         (* Line 3: all active candidates join A directly *)
         let added = ref [] in
         Array.iteri
@@ -136,7 +118,7 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
             if
               cand_level.(id) >= level
               && (not (Bitset.mem a id))
-              && (!p_exp = 0 || Rng.bernoulli rng p)
+              && Cover.Schedule.draw schedule rng
             then begin
               Bitset.add a id;
               added := id :: !added;
@@ -152,15 +134,8 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
           (Prim.broadcast_list ledger forest ~items:(fun _ ->
                [| 0 |] :: List.map (fun e -> [| e |]) !added));
         (* probability schedule; at p = 1 the level must drop (Claim 5.12) *)
-        if !p_exp = 0 then level_cap := level - 1;
-        incr phase_iter;
-        if !phase_iter >= phase_len && !p_exp > 0 then begin
-          decr p_exp;
-          phase_iter := 0;
-          incr phases;
-          Events.probability_doubling tr ~algo:"ecss3" ~p_exp:!p_exp
-            ~phase:!phases ~reset:false
-        end;
+        if Cover.Schedule.at_one schedule then level_cap := level - 1;
+        Cover.Schedule.tick schedule;
         Events.iteration_end tr ~algo:"ecss3" ~added:(List.length !added)
           ~remaining:(-1)
       end
@@ -168,36 +143,22 @@ let augment_core ?config ledger rng g ~tree ~h ~edge_weight =
   done;
   (* exact verification with greedy repair (one-sided errors make this a
      no-op w.h.p.; it guards the truncated runs) *)
-  let repaired = ref 0 in
-  while not (Edge_connectivity.is_k_edge_connected ~mask:(h_and_a ()) g 3) do
-    incr repaired;
-    if !repaired > m then failwith "Ecss3: graph is not 3-edge-connected";
-    let _, side, _ = Edge_connectivity.global_min_cut ~mask:(h_and_a ()) g in
-    let best = ref None in
-    Graph.iter_edges
-      (fun e ->
-        if
-          (not (Bitset.mem h e.Graph.id || Bitset.mem a e.Graph.id))
-          && Bitset.mem side e.Graph.u <> Bitset.mem side e.Graph.v
-        then
-          match !best with
-          | Some (w, id) when (w, id) <= (edge_weight e, e.Graph.id) -> ()
-          | _ -> best := Some (edge_weight e, e.Graph.id))
-      g;
-    match !best with
-    | Some (_, e) ->
+  let repairs =
+    Edge_connectivity.greedy_repair ~weight:edge_weight g ~base:h ~add:a ~k:3
+  in
+  List.iter
+    (fun e ->
       Bitset.add a e;
-      Events.repair tr ~algo:"ecss3" ~edge:e
-    | None -> failwith "Ecss3: graph is not 3-edge-connected"
-  done;
+      Events.repair tr ~algo:"ecss3" ~edge:e)
+    repairs;
   let solution = h_and_a () in
   {
     solution;
     h;
     augmentation = a;
     iterations = !iterations;
-    phases = !phases;
-    repaired = !repaired;
+    phases = Cover.Schedule.phases schedule;
+    repaired = List.length repairs;
     edge_count = Bitset.cardinal solution;
   }
 
@@ -218,7 +179,7 @@ let solve_weighted_with ?config ?tap_config ledger rng g =
   let start = Ecss2.solve_with ?tap_config ledger (Rng.split rng) g in
   let tree = Segments.tree start.Ecss2.segments in
   augment_core ?config ledger rng g ~tree ~h:start.Ecss2.solution
-    ~edge_weight:(fun e -> e.Graph.w)
+    ~edge_weight:(Graph.weight g)
 
 let solve_weighted ?config ?(seed = 1) g =
   solve_weighted_with ?config (Rounds.create ()) (Rng.create ~seed) g

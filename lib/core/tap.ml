@@ -4,12 +4,8 @@ open Kecss_obs
 
 type config = { vote_divisor : int; max_iterations : int }
 
-let log2_ceil n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (2 * v) in
-  go 0 1
-
 let default_config n =
-  let l = max 1 (log2_ceil (n + 1)) in
+  let l = max 1 (Cover.log2_ceil (n + 1)) in
   { vote_divisor = 8; max_iterations = (64 * l * l) + 200 }
 
 type iteration_info = {

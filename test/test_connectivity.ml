@@ -340,12 +340,57 @@ let verify_tests =
         check_int "aug weight" 100 r.Verify.weight);
   ]
 
+(* the exact repair net shared by the augmentation solvers *)
+let repair_tests =
+  [
+    case "cheapest crossing edge first, until k-edge-connected" (fun () ->
+        (* cycle 0..5 with unit tree edges e0..e4, an expensive closing
+           edge e5 and two cheap chords: e6 = {0,3} covers e0..e2 and
+           e7 = {2,5} covers e2..e4. Each minimum cut of the path picks a
+           chord over e5. *)
+        let g =
+          Graph.make ~n:6
+            [
+              (0, 1, 1); (1, 2, 1); (2, 3, 1); (3, 4, 1); (4, 5, 1);
+              (5, 0, 10); (0, 3, 2); (2, 5, 3);
+            ]
+        in
+        let base = Bitset.of_list 8 [ 0; 1; 2; 3; 4 ] in
+        let add = Bitset.create 8 in
+        let added = Edge_connectivity.greedy_repair g ~base ~add ~k:2 in
+        Alcotest.(check (list int)) "added ids in order" [ 6; 7 ] added;
+        check_is "inputs untouched"
+          (Bitset.cardinal base = 5 && Bitset.cardinal add = 0);
+        let aug = Bitset.of_list 8 added in
+        let r = Verify.check_augmentation g ~h:base ~aug ~k:2 in
+        check_is "verified" r.Verify.ok;
+        check_int "weight" 5 r.Verify.weight);
+    case "a bridge raises Failure" (fun () ->
+        (* two triangles joined by the bridge {2,3} *)
+        let g =
+          Graph.make ~n:6
+            [
+              (0, 1, 1); (1, 2, 1); (2, 0, 1); (2, 3, 1); (3, 4, 1); (4, 5, 1);
+              (5, 3, 1);
+            ]
+        in
+        let base = Bitset.of_list 7 [ 0; 1; 3; 4; 5 ] in
+        match
+          Edge_connectivity.greedy_repair g ~base ~add:(Bitset.create 7) ~k:2
+        with
+        | exception Failure msg ->
+          Alcotest.(check string) "shared message"
+            "Edge_connectivity.greedy_repair: graph is not k-edge-connected" msg
+        | _ -> Alcotest.fail "expected Failure");
+  ]
+
 let () =
   Alcotest.run "connectivity"
     [
       ("dfs", dfs_tests);
       ("maxflow", maxflow_tests);
       ("edge_connectivity", ec_tests);
+      ("greedy_repair", repair_tests);
       ("stoer_wagner", sw_tests);
       ("gomory_hu", gomory_hu_tests);
       ("min_cut_enum", enum_tests);

@@ -76,6 +76,21 @@ let ecss3_tests =
             let r = Ecss3.solve ~seed:13 g in
             check_is (name ^ " no repair") (r.Ecss3.repaired <= 1))
           (three_ec_pool ()));
+    case "the repair net alone reaches 3-edge-connectivity" (fun () ->
+        (* no iterations: every edge of A comes from the exact repair net *)
+        List.iter
+          (fun (name, g) ->
+            let config =
+              { (Ecss3.default_config (Graph.n g)) with max_iterations = 0 }
+            in
+            let r = Ecss3.solve ~config ~seed:13 g in
+            check_int (name ^ " no iterations") 0 r.Ecss3.iterations;
+            check_is (name ^ " repaired") (r.Ecss3.repaired > 0);
+            check_int (name ^ " A is the repairs") r.Ecss3.repaired
+              (Bitset.cardinal r.Ecss3.augmentation);
+            check_is (name ^ " 3EC")
+              (Verify.check_kecss g r.Ecss3.solution ~k:3).Verify.ok)
+          (three_ec_pool ()));
     case "small label width still yields a correct (if larger) solution"
       (fun () ->
         let g = Gen.circulant 16 [ 1; 2 ] in

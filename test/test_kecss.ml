@@ -56,6 +56,22 @@ let augk_tests =
         (match run_augk g ~h:(Rooted_tree.edges_mask tree) ~k:3 with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument"));
+    case "an uncoverable cut ends in the repair net's Failure" (fun () ->
+        (* C6 plus the chord {0,3}: vertex 1 keeps degree 2, so G is not
+           3-edge-connected and the cut around vertex 1 has no coverer *)
+        let g =
+          Graph.make ~n:6
+            [
+              (0, 1, 1); (1, 2, 1); (2, 3, 1); (3, 4, 1); (4, 5, 1); (5, 0, 1);
+              (0, 3, 1);
+            ]
+        in
+        let h = Bitset.of_list 7 [ 0; 1; 2; 3; 4; 5 ] in
+        match run_augk g ~h ~k:3 with
+        | exception Failure msg ->
+          Alcotest.(check string) "shared message"
+            "Edge_connectivity.greedy_repair: graph is not k-edge-connected" msg
+        | _ -> Alcotest.fail "expected Failure");
     case "active_weight counts each edge once (A' is a set)" (fun () ->
         (* an edge can be activated in many iterations; the §4.2 charging
            set A' is a set, so the total must be bounded by the weight of

@@ -885,6 +885,107 @@ let scale_history_rows ~wallclock rows =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* cut-pair scale tier: the solvers whose local work is cut pairs       *)
+(* ------------------------------------------------------------------ *)
+
+type cutpair_row = {
+  cp_solver : string; (* row-name stem, e.g. "kecss-k3" *)
+  cp_n : int;
+  cp_solve_ns : float;
+  cp_words : float; (* words allocated by the solve, at jobs = 1 *)
+  cp_rounds : int option; (* None for the sequential greedy baseline *)
+  cp_messages : int option;
+  cp_weight : int;
+}
+
+(* (row stem, sizes, solve); the greedy baseline charges no rounds *)
+let cutpair_sweep =
+  [
+    ( "kecss-k3", [ 256; 512 ],
+      fun ledger g ->
+        (Kecss.solve_with ledger (Rng.create ~seed:1) g ~k:3).Kecss.solution );
+    ( "3ecss-unweighted", [ 256; 512 ],
+      fun ledger g ->
+        (Ecss3.solve_with ledger (Rng.create ~seed:1) g).Ecss3.solution );
+    ("greedy-k3", [ 256 ], fun _ g -> Kecss_baselines.Greedy.kecss g ~k:3);
+  ]
+
+(* One seeded weighted 3-edge-connected instance per size (random
+   circulant backbone plus n chords, weights in [1, 100]), solved once per
+   solver at jobs = 1 and verified; rounds, messages and allocated words
+   are deterministic and gate --compare. *)
+let run_cutpair_tier () =
+  let saved = Kecss_par.Pool.default_jobs () in
+  Kecss_par.Pool.set_default_jobs 1;
+  Fun.protect
+    ~finally:(fun () -> Kecss_par.Pool.set_default_jobs saved)
+  @@ fun () ->
+  let row solver solve n =
+    let rng = Rng.create ~seed:42 in
+    let g =
+      Weights.uniform rng ~lo:1 ~hi:100 (Gen.random_k_connected rng n 3 ~extra:n)
+    in
+    let ledger = Rounds.create () in
+    Gc.full_major ();
+    let a0 = Kecss_obs.Prof.allocated_words () in
+    let t0 = Kecss_obs.Prof.now_ns () in
+    let h = solve ledger g in
+    let solve_ns = Kecss_obs.Prof.now_ns () -. t0 in
+    Gc.full_major ();
+    let words = Kecss_obs.Prof.allocated_words () -. a0 in
+    let report = Kecss_connectivity.Verify.check_kecss ~cap:3 g h ~k:3 in
+    if not report.Kecss_connectivity.Verify.ok then
+      failwith
+        (Printf.sprintf "cut-pair tier: %s n=%d failed verification" solver n);
+    let charged v = if Rounds.total ledger > 0 then Some v else None in
+    {
+      cp_solver = solver;
+      cp_n = n;
+      cp_solve_ns = solve_ns;
+      cp_words = words;
+      cp_rounds = charged (Rounds.total ledger);
+      cp_messages = charged (Rounds.total_messages ledger);
+      cp_weight = Graph.mask_weight g h;
+    }
+  in
+  List.concat_map
+    (fun (solver, ns, solve) -> List.map (row solver solve) ns)
+    cutpair_sweep
+
+let print_cutpair_tier rows =
+  print_newline ();
+  print_endline "################ S-scale — cut-pair solvers (jobs=1)";
+  print_endline
+    "# random k=3 graphs, extra = n chords, weights [1,100]; verified";
+  print_newline ();
+  let opt = function Some v -> string_of_int v | None -> "-" in
+  Printf.printf "%-18s %6s %10s %12s %8s %10s %8s
+" "solver" "n" "solve"
+    "alloc-words" "rounds" "messages" "weight";
+  Printf.printf "%s\n" (String.make 78 '-');
+  List.iter
+    (fun r ->
+      Printf.printf "%-18s %6d %10s %12.0f %8s %10s %8d\n" r.cp_solver r.cp_n
+        (History.pretty_ns r.cp_solve_ns)
+        r.cp_words (opt r.cp_rounds) (opt r.cp_messages) r.cp_weight)
+    rows;
+  flush stdout
+
+(* same conventions as the codec scale rows: deterministic rows always,
+   the wall-clock row only when the micros run *)
+let cutpair_history_rows ~wallclock rows =
+  List.concat_map
+    (fun r ->
+      let stem = Printf.sprintf "scale/%s-n%d" r.cp_solver r.cp_n in
+      (if wallclock then [ (stem, r.cp_solve_ns) ] else [])
+      @ [ (stem ^ "-allocwords", r.cp_words) ]
+      @ List.filter_map
+          (fun (suffix, v) ->
+            Option.map (fun v -> (stem ^ suffix, float_of_int v)) v)
+          [ ("-rounds", r.cp_rounds); ("-messages", r.cp_messages) ])
+    rows
+
+(* ------------------------------------------------------------------ *)
 (* metrics JSON                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1038,8 +1139,8 @@ let write_metrics_json ?serve ?sparsify ?scale ~jobs ~profile runs path =
   close_out oc;
   Printf.printf "telemetry for representative solves -> %s\n" path
 
-let history_entry ?serve ?sparsify ?scale ~scale_wallclock ~rev ~jobs ~profile
-    micro_rows runs =
+let history_entry ?serve ?sparsify ?scale ?cutpairs ~scale_wallclock ~rev
+    ~jobs ~profile micro_rows runs =
   {
     History.rev;
     jobs;
@@ -1051,10 +1152,13 @@ let history_entry ?serve ?sparsify ?scale ~scale_wallclock ~rev ~jobs ~profile
         @ (match sparsify with
           | None -> []
           | Some sx -> sparsify_history_rows sx)
+        @ (match scale with
+          | None -> []
+          | Some rows -> scale_history_rows ~wallclock:scale_wallclock rows)
         @
-        match scale with
+        match cutpairs with
         | None -> []
-        | Some rows -> scale_history_rows ~wallclock:scale_wallclock rows);
+        | Some rows -> cutpair_history_rows ~wallclock:scale_wallclock rows);
     experiments =
       List.map
         (fun rr ->
@@ -1221,6 +1325,14 @@ let () =
       Some rows
     end
   in
+  let cutpairs =
+    if o.micro_only then None
+    else begin
+      let rows = run_cutpair_tier () in
+      print_cutpair_tier rows;
+      Some rows
+    end
+  in
   let micro_rows =
     if (not o.no_micro) || o.micro_only then run_micro ?filter:o.micro_filter ()
     else []
@@ -1243,7 +1355,7 @@ let () =
     (Option.value o.mpath ~default:"bench-metrics.json");
   let rev = Option.value o.rev ~default:(History.default_rev ()) in
   let entry =
-    history_entry ?serve ?sparsify ?scale
+    history_entry ?serve ?sparsify ?scale ?cutpairs
       ~scale_wallclock:((not o.no_micro) || o.micro_only)
       ~rev ~jobs ~profile micro_rows runs
   in

@@ -1253,8 +1253,8 @@ let resilience_cmd =
     (Cmd.info "resilience"
        ~doc:
          "Attack a k-ECSS solution with up to k-1 edge failures: cut-guided \
-          witness search (bridges, exhaustive enumeration or seeded Karger \
-          contraction) plus seeded random failure sampling, reporting the \
+          witness search (bridges, exhaustive enumeration, exact cut pairs \
+          or seeded Karger contraction) plus seeded random failure sampling, reporting the \
           survival rate, worst residual connectivity and the failure margin \
           lambda - (k-1). A Verify-passing solution must survive everything.")
     Term.(

@@ -6,19 +6,10 @@ type t = {
   h_mask : Bitset.t;
   bits : int;
   label : int array; (* by edge id; -1 outside h_mask *)
+  count : (int, int) Hashtbl.t; (* n_φ: edges of H per label value *)
 }
 
 let default_bits = 60
-
-let random_label rng bits =
-  (* uniform in [0, 2^bits), built from 30-bit draws *)
-  let rec go acc remaining =
-    if remaining <= 0 then acc
-    else
-      let take = min 30 remaining in
-      go ((acc lsl take) lor Rng.int rng (1 lsl take)) (remaining - take)
-  in
-  go 0 bits
 
 let check_args tree ~h_mask bits =
   if bits < 1 || bits > 62 then invalid_arg "Labels: bits must be in [1, 62]";
@@ -26,41 +17,21 @@ let check_args tree ~h_mask bits =
   if not (Bitset.subset te h_mask) then
     invalid_arg "Labels: h_mask must contain all tree edges"
 
-let non_tree_edges tree ~h_mask =
-  Bitset.fold
-    (fun id acc -> if Rooted_tree.is_tree_edge tree id then acc else id :: acc)
-    h_mask []
-  |> List.rev
-
-let finish tree ~h_mask ~bits label = { tree; h_mask; bits; label }
+(* the n_φ histogram is built once per labelling, so every query below
+   reads it instead of rescanning H *)
+let finish tree ~h_mask ~bits label =
+  let count = Hashtbl.create 64 in
+  Bitset.iter
+    (fun id ->
+      let l = label.(id) in
+      Hashtbl.replace count l
+        (1 + Option.value ~default:0 (Hashtbl.find_opt count l)))
+    h_mask;
+  { tree; h_mask; bits; label; count }
 
 let compute ?(bits = default_bits) rng tree ~h_mask =
   check_args tree ~h_mask bits;
-  let g = Rooted_tree.graph tree in
-  let n = Graph.n g in
-  let label = Array.make (Graph.m g) (-1) in
-  let acc = Array.make n 0 in
-  List.iter
-    (fun id ->
-      let l = random_label rng bits in
-      label.(id) <- l;
-      let u, v = Graph.endpoints g id in
-      acc.(u) <- acc.(u) lxor l;
-      acc.(v) <- acc.(v) lxor l)
-    (non_tree_edges tree ~h_mask);
-  (* φ(tree edge below x) is the XOR of acc over subtree(x): a non-tree
-     edge with both endpoints inside cancels, one with exactly one endpoint
-     inside — i.e. a covering edge — survives. *)
-  let order = Rooted_tree.preorder tree in
-  for i = n - 1 downto 0 do
-    let x = order.(i) in
-    if x <> Rooted_tree.root tree then begin
-      label.(Rooted_tree.parent_edge tree x) <- acc.(x);
-      let p = Rooted_tree.parent tree x in
-      acc.(p) <- acc.(p) lxor acc.(x)
-    end
-  done;
-  finish tree ~h_mask ~bits label
+  finish tree ~h_mask ~bits (Circulation.sample rng ~bits tree ~h_mask)
 
 let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
   Rounds.scoped ledger "labels" @@ fun () ->
@@ -69,9 +40,11 @@ let compute_distributed ?(bits = default_bits) ledger rng tree ~h_mask =
   let label = Array.make (Graph.m g) (-1) in
   (* the smaller endpoint of every non-tree H edge draws the label and
      sends it across the edge — one round *)
-  List.iter
-    (fun id -> label.(id) <- random_label rng bits)
-    (non_tree_edges tree ~h_mask);
+  Bitset.iter
+    (fun id ->
+      if not (Rooted_tree.is_tree_edge tree id) then
+        label.(id) <- Circulation.random_label rng ~bits)
+    h_mask;
   let is_h id = Bitset.mem h_mask id in
   let sends v =
     Graph.fold_adj g v
@@ -133,7 +106,7 @@ let cut_pairs t =
   |> List.sort compare
 
 let edge_count_with_label t phi =
-  Bitset.fold (fun id acc -> if t.label.(id) = phi then acc + 1 else acc) t.h_mask 0
+  Option.value ~default:0 (Hashtbl.find_opt t.count phi)
 
 let tree_edge_count_with_label t phi =
   Bitset.fold
@@ -144,13 +117,6 @@ let tree_edge_count_with_label t phi =
 
 let pairs_covered t e =
   if Bitset.mem t.h_mask e then invalid_arg "Labels.pairs_covered: edge in H";
-  let totals = Hashtbl.create 64 in
-  Bitset.iter
-    (fun id ->
-      let l = t.label.(id) in
-      Hashtbl.replace totals l
-        (1 + Option.value ~default:0 (Hashtbl.find_opt totals l)))
-    t.h_mask;
   let on_path = Hashtbl.create 8 in
   List.iter
     (fun te ->
@@ -159,9 +125,7 @@ let pairs_covered t e =
         (1 + Option.value ~default:0 (Hashtbl.find_opt on_path phi)))
     (Rooted_tree.fundamental_path t.tree e);
   Hashtbl.fold
-    (fun phi c acc ->
-      let total = Option.value ~default:c (Hashtbl.find_opt totals phi) in
-      acc + (c * (total - c)))
+    (fun phi c acc -> acc + (c * (Hashtbl.find t.count phi - c)))
     on_path 0
 
 let is_two_edge_connected t =
@@ -171,19 +135,12 @@ let is_two_edge_connected t =
     t.h_mask true
 
 let is_three_edge_connected t =
-  let counts = Hashtbl.create 64 in
-  Bitset.iter
-    (fun id ->
-      let l = t.label.(id) in
-      Hashtbl.replace counts l
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts l)))
-    t.h_mask;
   Bitset.fold
     (fun id ok ->
       ok
       && not
            (Rooted_tree.is_tree_edge t.tree id
-           && Hashtbl.find counts t.label.(id) > 1))
+           && Hashtbl.find t.count t.label.(id) > 1))
     t.h_mask true
 
 let pp ppf t =

@@ -27,7 +27,8 @@ val default_bits : int
 val compute : ?bits:int -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> t
 (** [compute rng tree ~h_mask] samples a random [bits]-bit circulation of
     the subgraph [h_mask] (which must contain all tree edges) and labels
-    every edge of [h_mask]. Sequential reference implementation. *)
+    every edge of [h_mask]. Sequential reference implementation: the
+    {!Kecss_graph.Circulation.sample} kernel. *)
 
 val compute_distributed :
   ?bits:int -> Rounds.t -> Rng.t -> Rooted_tree.t -> h_mask:Bitset.t -> t
@@ -55,21 +56,23 @@ val tree_edge_count_with_label : t -> int -> int
 (** [tree_edge_count_with_label t phi]: n_φ restricted to tree edges. *)
 
 val edge_count_with_label : t -> int -> int
-(** n_φ of §5.3: the number of edges of H with label φ. *)
+(** n_φ of §5.3: the number of edges of H with label φ. O(1): the n_φ
+    histogram is built once when the labelling is computed. *)
 
 val pairs_covered : t -> int -> int
 (** [pairs_covered t e] — Claim 5.8: the number of cut pairs of H covered
     by the outside edge [e] (not in H), namely
     Σ_φ n_{φ,e}·(n_φ − n_{φ,e}) over the labels φ of the tree edges on
-    [e]'s fundamental path. *)
+    [e]'s fundamental path. Costs O(length of that path): n_φ is read from
+    the histogram built once per labelling, not recounted over H. *)
 
 val is_two_edge_connected : t -> bool
 (** No tree edge labelled 0 — iff H is 2-edge-connected (one-sided:
     a bridge is always detected). *)
 
 val is_three_edge_connected : t -> bool
-(** Claim 5.10: n_{φ(t)} = 1 for every tree edge t. One-sided: a cut pair
-    is always detected. *)
+(** Claim 5.10: n_{φ(t)} = 1 for every tree edge t, read from the n_φ
+    histogram. One-sided: a cut pair is always detected. *)
 
 val pp : Format.formatter -> t -> unit
 (** Per-edge labels in hex plus the cut-pair classes — the rendering used

@@ -31,13 +31,14 @@ let find_witness ~rng g ~h ~spanning ~lambda ~budget =
     let search =
       if lambda <= 1 then "bridges"
       else if Graph.n g <= 16 then "exhaustive"
+      else if lambda = 2 then "cut-pairs"
       else "karger"
     in
     match Min_cut_enum.min_cuts ~mask:h ~rng g with
     | _, cut :: _ -> (Some cut.Min_cut_enum.edge_ids, search)
     | _, [] ->
-      (* the randomized enumerator is only complete w.h.p.; the maxflow
-         min cut is a deterministic fallback witness *)
+      (* Karger (λ ≥ 3) is only complete w.h.p.; the maxflow min cut is
+         a deterministic fallback witness *)
       let _, _, cut = Edge_connectivity.global_min_cut ~mask:h g in
       (Some cut, search)
   end

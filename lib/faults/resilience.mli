@@ -7,8 +7,8 @@
     - {b cut-guided search}: if λ(H) ≤ k−1 then every minimum cut of H is
       a disconnecting failure set within the budget; the search enumerates
       them with [Min_cut_enum] (exhaustively for small n, bridges for
-      λ = 1, seeded Karger contraction otherwise) and reports the first as
-      a witness;
+      λ = 1, the exact circulation-label cut pairs for λ = 2, seeded
+      Karger contraction for λ ≥ 3) and reports the first as a witness;
     - {b random failure sampling}: seeded uniform (k−1)-subsets of H's
       edges are removed and connectivity re-checked, measuring the
       survival rate and the worst residual connectivity λ(H \ F) — the
@@ -32,7 +32,8 @@ type report = {
   margin : int;          (** λ(H) − (k−1): failures beyond the budget
                              needed to disconnect; ≥ 1 iff H is a k-ECSS *)
   search : string;       (** witness search used: ["exhaustive"],
-                             ["bridges"], ["karger"] or ["none"] *)
+                             ["bridges"], ["cut-pairs"], ["karger"] or
+                             ["none"] *)
   trials : int;          (** random failure sets sampled *)
   survived : int;
   survival_rate : float; (** survived / trials, 1.0 when trials = 0 *)

@@ -262,6 +262,118 @@ let enum_tests =
                 (Min_cut_enum.enumerate_exhaustive g ~size:lam)));
   ]
 
+(* a 2-edge-connected random graph and a bridgeless subgraph of it: edges
+   are dropped in random order while the mask stays 2-edge-connected, so
+   the mask is close to minimally 2-edge-connected and has several
+   cut-pair classes *)
+let bridgeless_instance (seed, n, p) =
+  let rng = Rng.create ~seed in
+  let n = max 3 n in
+  let extra = 1 + int_of_float (p *. float_of_int n) in
+  let g = Gen.random_k_connected rng n 2 ~extra in
+  let mask = Graph.all_edges_mask g in
+  Array.iter
+    (fun e ->
+      if Rng.bool rng then begin
+        Bitset.remove mask e;
+        if not (Dfs.is_two_edge_connected ~mask g) then Bitset.add mask e
+      end)
+    (Rng.permutation rng (Graph.m g));
+  (g, mask)
+
+let cut_key c = (c.Min_cut_enum.edge_ids, Bitset.elements c.Min_cut_enum.side)
+let cut_set cuts = List.sort compare (List.map cut_key cuts)
+
+let cut_pair_tests =
+  [
+    qcheck
+      (QCheck.Test.make
+         ~name:"size-2 enumeration equals the exhaustive cut set" ~count:40
+         (arb_connected ~max_n:18 ()) (fun params ->
+           let g, mask = bridgeless_instance params in
+           let rng = Rng.create ~seed:11 in
+           cut_set (Min_cut_enum.enumerate ~rng g ~size:2)
+           = cut_set (Min_cut_enum.enumerate_exhaustive g ~size:2)
+           && cut_set (Min_cut_enum.enumerate ~mask ~rng g ~size:2)
+              = cut_set (Min_cut_enum.enumerate_exhaustive ~mask g ~size:2)));
+    slow_case "size-2 enumeration is exact at the n = 24 boundary" (fun () ->
+        let g, mask = bridgeless_instance (24, 24, 0.2) in
+        let rng = Rng.create ~seed:1 in
+        let cuts = Min_cut_enum.enumerate ~mask ~rng g ~size:2 in
+        check_is "several cut pairs" (List.length cuts > 3);
+        check_is "exhaustive cut set"
+          (cut_set cuts
+          = cut_set (Min_cut_enum.enumerate_exhaustive ~mask g ~size:2)));
+    case "a 1-bit label width forces re-labelling and stays exact" (fun () ->
+        (* with two label values, at least two of the theta graph's three
+           cut-pair classes (its three paths) share a bucket, so the first
+           labelling cannot settle every bucket and the re-labelling loop
+           must split them *)
+        List.iter
+          (fun (name, g) ->
+            let exact = cut_set (Min_cut_enum.enumerate_exhaustive g ~size:2) in
+            List.iter
+              (fun seed ->
+                check_is name
+                  (cut_set
+                     (Min_cut_enum.enumerate ~bits:1 ~rng:(Rng.create ~seed) g
+                        ~size:2)
+                  = exact))
+              [ 1; 2; 3; 4; 5 ])
+          [
+            ( "theta",
+              Graph.make ~n:7
+                [
+                  (0, 1, 1); (1, 2, 1); (2, 3, 1); (0, 4, 1); (4, 3, 1);
+                  (0, 5, 1); (5, 6, 1); (6, 3, 1);
+                ] );
+            ("sparse16", fst (bridgeless_instance (7, 16, 0.3)));
+          ]);
+    case "a bridged mask falls back to Karger" (fun () ->
+        (* two triangles joined by a bridge: [trials] applies to Karger
+           only, so zero trials find nothing on the bridged graph, while
+           the bridgeless triangle alone is enumerated exactly *)
+        let g =
+          Graph.make ~n:6
+            [
+              (0, 1, 1); (1, 2, 1); (2, 0, 1); (2, 3, 1); (3, 4, 1); (4, 5, 1);
+              (5, 3, 1);
+            ]
+        in
+        let enum ?trials g =
+          Min_cut_enum.enumerate ?trials ~rng:(Rng.create ~seed:1) g ~size:2
+        in
+        check_int "no trials, no cuts" 0 (List.length (enum ~trials:0 g));
+        check_is "default trials find every 2-cut"
+          (cut_set (enum g)
+          = cut_set (Min_cut_enum.enumerate_exhaustive g ~size:2));
+        let tri = Graph.make ~n:3 [ (0, 1, 1); (1, 2, 1); (2, 0, 1) ] in
+        check_int "bridgeless ignores trials" 3
+          (List.length (enum ~trials:0 tri)));
+    qcheck
+      (QCheck.Test.make ~name:"Karger finds every size-3 min cut" ~count:20
+         (arb_connected ~max_n:14 ()) (fun (seed, n, p) ->
+           (* a Harary graph H_{3,n} plus random chords that avoid vertex
+              0, so λ = 3 whenever vertex 0 keeps degree 3 *)
+           let rng = Rng.create ~seed in
+           let n = max 4 n in
+           let base =
+             Graph.fold_edges
+               (fun e acc -> (e.Graph.u, e.Graph.v, 1) :: acc)
+               (Gen.harary 3 n) []
+           in
+           let chords =
+             List.init (int_of_float (p *. float_of_int n)) (fun _ ->
+                 let u = Rng.int_in rng 1 (n - 1) in
+                 let v = 1 + ((u + Rng.int_in rng 1 (n - 3)) mod (n - 1)) in
+                 (u, v, 1))
+           in
+           let g = Graph.make ~n (base @ chords) in
+           QCheck.assume (Edge_connectivity.lambda g = 3);
+           cut_set (Min_cut_enum.enumerate ~rng g ~size:3)
+           = cut_set (Min_cut_enum.enumerate_exhaustive g ~size:3)));
+  ]
+
 let gomory_hu_tests =
   [
     case "known values on a wheel" (fun () ->
@@ -394,5 +506,6 @@ let () =
       ("stoer_wagner", sw_tests);
       ("gomory_hu", gomory_hu_tests);
       ("min_cut_enum", enum_tests);
+      ("cut_pairs", cut_pair_tests);
       ("verify", verify_tests);
     ]

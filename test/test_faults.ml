@@ -457,16 +457,35 @@ let resilience_tests =
           List.iter (Bitset.remove mask) ids;
           check_is "the witness disconnects" (not (Graph.is_connected ~mask g))
         | None -> Alcotest.fail "expected a witness");
-    case "karger witness beyond the exhaustive bound" (fun () ->
+    case "cut-pairs witness beyond the exhaustive bound" (fun () ->
+        (* λ = 2 past the exhaustive bound: the exact cut-pair search *)
         let g = Gen.cycle 20 in
         let h = Graph.all_edges_mask g in
         let r =
           Resilience.attack ~trials:16 ~rng:(Rng.create ~seed:3) g ~h ~k:3
         in
         check_is "killed" (not (Resilience.ok r));
+        check_is "cut-pairs search" (r.Resilience.search = "cut-pairs");
+        match r.Resilience.witness with
+        | Some ids ->
+          check_int "a cut pair" 2 (List.length ids);
+          let mask = Bitset.copy h in
+          List.iter (Bitset.remove mask) ids;
+          check_is "the witness disconnects" (not (Graph.is_connected ~mask g))
+        | None -> Alcotest.fail "expected a witness");
+    case "karger witness beyond the exhaustive bound" (fun () ->
+        (* λ = 3 past the exhaustive bound: Karger stays the search *)
+        let g = Gen.harary 3 20 in
+        let h = Graph.all_edges_mask g in
+        let r =
+          Resilience.attack ~trials:16 ~rng:(Rng.create ~seed:3) g ~h ~k:4
+        in
+        check_int "lambda" 3 r.Resilience.lambda;
+        check_is "killed" (not (Resilience.ok r));
         check_is "karger search" (r.Resilience.search = "karger");
         match r.Resilience.witness with
         | Some ids ->
+          check_int "a min cut" 3 (List.length ids);
           let mask = Bitset.copy h in
           List.iter (Bitset.remove mask) ids;
           check_is "the witness disconnects" (not (Graph.is_connected ~mask g))

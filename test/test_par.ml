@@ -170,11 +170,12 @@ let test_solver_identical () =
   Alcotest.(check bool) "trace event stream" true (ev1 = ev4)
 
 let test_kecss_identical () =
-  (* the k-ECSS solver exercises the parallel Karger enumeration inside
-     its augmentation phase *)
+  (* at k = 4 the last augmentation level enumerates the size-3 cuts of H
+     with the parallel Karger enumeration; levels 2 and 3 run the bridge
+     scan and the exact cut-pair enumeration *)
   let solve () =
-    let g = test_graph ~n:32 ~k:3 ~seed:7 in
-    let r = Kecss.solve ~seed:1 g ~k:3 in
+    let g = test_graph ~n:32 ~k:4 ~seed:7 in
+    let r = Kecss.solve ~seed:1 g ~k:4 in
     (Bitset.elements r.Kecss.solution, r.Kecss.weight, r.Kecss.rounds)
   in
   let s1, w1, r1 = with_default_jobs 1 solve in
@@ -184,25 +185,31 @@ let test_kecss_identical () =
   Alcotest.(check int) "rounds" r1 r4
 
 let test_enumerate_identical () =
-  let g = test_graph ~n:40 ~k:2 ~seed:3 in
-  let enum pool =
-    Kecss_connectivity.Min_cut_enum.enumerate ~pool ~rng:(Rng.create ~seed:5) g
-      ~size:2
-  in
-  let c1 = with_pool 1 enum and c4 = with_pool 4 enum in
-  Alcotest.(check int) "cut count" (List.length c1) (List.length c4);
-  (* order matters: the canonical merge must make the whole list, not
-     just the set, independent of scheduling *)
-  List.iter2
-    (fun a b ->
-      Alcotest.(check (list int))
-        "cut edges" a.Kecss_connectivity.Min_cut_enum.edge_ids
-        b.Kecss_connectivity.Min_cut_enum.edge_ids;
-      Alcotest.(check (list int))
-        "cut side"
-        (Bitset.elements a.Kecss_connectivity.Min_cut_enum.side)
-        (Bitset.elements b.Kecss_connectivity.Min_cut_enum.side))
-    c1 c4
+  (* size 2 on a 2-edge-connected graph takes the exact cut-pair path;
+     size 3 on a Harary graph (λ = 3, every vertex a 3-cut) is the
+     parallel Karger enumeration *)
+  List.iter
+    (fun (g, size) ->
+      let enum pool =
+        Kecss_connectivity.Min_cut_enum.enumerate ~pool ~rng:(Rng.create ~seed:5)
+          g ~size
+      in
+      let c1 = with_pool 1 enum and c4 = with_pool 4 enum in
+      Alcotest.(check bool) "cuts found" true (c1 <> []);
+      Alcotest.(check int) "cut count" (List.length c1) (List.length c4);
+      (* order matters: the canonical merge must make the whole list, not
+         just the set, independent of scheduling *)
+      List.iter2
+        (fun a b ->
+          Alcotest.(check (list int))
+            "cut edges" a.Kecss_connectivity.Min_cut_enum.edge_ids
+            b.Kecss_connectivity.Min_cut_enum.edge_ids;
+          Alcotest.(check (list int))
+            "cut side"
+            (Bitset.elements a.Kecss_connectivity.Min_cut_enum.side)
+            (Bitset.elements b.Kecss_connectivity.Min_cut_enum.side))
+        c1 c4)
+    [ (test_graph ~n:40 ~k:2 ~seed:3, 2); (Gen.harary 3 40, 3) ]
 
 let test_resilience_identical () =
   let g = test_graph ~n:32 ~k:3 ~seed:9 in

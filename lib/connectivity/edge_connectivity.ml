@@ -4,32 +4,34 @@ let pair ?mask g u v =
   let net = Maxflow.of_graph ?mask g in
   Maxflow.max_flow net ~s:u ~t:v
 
+(* The cut-pair search draws its labels from a private stream: its answer
+   is exact whatever the labels are, so no caller's rng is consumed. *)
+let label_seed = 0x5eed
+
 let lambda ?mask ?upper g =
-  let n = Graph.n g in
-  if n <= 1 then max_int
-  else if not (Graph.is_connected ?mask g) then 0
-  else if Dfs.bridges ?mask g <> [] then 1
+  let cap x = match upper with Some u -> min x u | None -> x in
+  let within b = match upper with Some u -> u <= b | None -> false in
+  if Graph.n g <= 1 then cap max_int
+  else if not (Graph.is_connected ?mask g) then cap 0
+  else if Dfs.bridges ?mask g <> [] then cap 1
+  (* bridgeless and connected: λ ≥ 2. Up to 3 it is settled without any
+     max-flow — by the cut-pair classes of the circulation labels — which
+     keeps every k ≤ 3 check O(m log m) *)
+  else if within 2 then cap 2
   else
-    (* bridgeless and connected: λ ≥ 2, settled without any max-flow when
-       the caller only cares about λ up to 2 — this is what keeps k ≤ 2
-       verification O(n + m) on million-vertex instances *)
-    match upper with
-    | Some u when u <= 2 -> min 2 u
-    | _ ->
-    begin
-    let net = Maxflow.of_graph ?mask g in
-    let best = ref max_int in
-    for t = 1 to n - 1 do
-      let limit =
-        match upper with
-        | None -> Some !best
-        | Some u -> Some (min u !best)
-      in
-      let f = Maxflow.max_flow ?limit net ~s:0 ~t in
-      if f < !best then best := f
-    done;
-    match upper with None -> !best | Some u -> min !best u
-  end
+    let labelled = match mask with Some s -> s | None -> Graph.all_edges_mask g in
+    if Cut_pairs.exists ~rng:(Rng.create ~seed:label_seed) g ~mask:labelled then 2
+    else if within 3 then cap 3
+    else begin
+      let n = Graph.n g in
+      let net = Maxflow.of_graph ?mask g in
+      let best = ref max_int in
+      for t = 1 to n - 1 do
+        let f = Maxflow.max_flow ~limit:(cap !best) net ~s:0 ~t in
+        if f < !best then best := f
+      done;
+      cap !best
+    end
 
 let is_k_edge_connected ?mask g k =
   if k <= 0 then true

@@ -1,8 +1,17 @@
-(** Edge-connectivity queries built on {!Maxflow}.
+(** Edge-connectivity queries.
 
-    [λ(G)] — the global edge connectivity — is computed as
-    [min over t ≠ 0 of maxflow(0, t)] with unit capacities, which is exact
-    because vertex 0 lies on one side of any cut. *)
+    [λ(G)] — the global edge connectivity — is decided in layers, each
+    exact:
+
+    - λ = 0 and λ = 1: connectivity and the DFS bridge scan, O(n + m);
+    - λ = 2 against λ ≥ 3: whether a cut pair exists, from the §5
+      circulation labels ({!Cut_pairs}); Las Vegas, expected O(m log m),
+      and exact whatever labels are drawn;
+    - above 3: [min over t ≠ 0 of maxflow(0, t)] with unit capacities
+      ({!Maxflow}), exact because vertex 0 lies on one side of any cut,
+      each flow capped at the best value so far.
+
+    So every "is λ ≥ k" query with k ≤ 3 runs without max-flow. *)
 
 open Kecss_graph
 
@@ -11,8 +20,11 @@ val pair : ?mask:Bitset.t -> Graph.t -> int -> int -> int
 
 val lambda : ?mask:Bitset.t -> ?upper:int -> Graph.t -> int
 (** Global edge connectivity of the (sub)graph; 0 if disconnected. With
-    [~upper] each flow stops at [upper], so the result is
-    [min λ upper] — much faster for "is λ ≥ k" queries. *)
+    [~upper] the result is [min λ upper], and the search stops at
+    [upper]: an [upper] ≤ 3 never reaches max-flow. A graph of n ≤ 1 has
+    no cut, so its λ is [max_int], clamped to [upper] when one is
+    given. The cut-pair labels come from a private fixed-seed stream, so
+    the result never depends on, and never advances, any caller's rng. *)
 
 val is_k_edge_connected : ?mask:Bitset.t -> Graph.t -> int -> bool
 (** [is_k_edge_connected g k]: does the (sub)graph span all vertices with

@@ -72,113 +72,63 @@ let enumerate_bridges ?mask g =
       { edge_ids = [ b ]; side })
     (Dfs.bridges ?mask g)
 
-(* Cuts of size 2 on a connected bridgeless subgraph, exactly, from
-   random circulation labels (Property 5.1): the edges of one cut-pair
-   class always share a label, so every class lies inside one label
-   bucket. A bucket of c edges is exactly one class iff removing it leaves
-   exactly c components: the first removal never disconnects a bridgeless
-   graph and every later one adds at most one component, so c components
-   means every pair in the bucket disconnects. The components of a class
+(* Cuts of size 2 on a connected bridgeless subgraph, exactly: every
+   pair of edges inside one {!Cut_pairs} class. The components of a class
    form a cycle, threaded by the class edges, and the cut pair at cycle
-   positions p < q splits it into two arcs. A bucket that fails the check
-   merged classes by a label collision; it is split again by a fresh
-   labelling until every bucket is decided, so the result is exact
-   whatever the label width — the width only sets the expected number of
-   rounds. *)
-let default_label_bits = 60
-
-let class_cuts g ~mask bucket =
+   positions p < q splits it into two arcs. *)
+let class_cuts g { Cut_pairs.edges = bucket; comp } =
   let n = Graph.n g in
   let c = Array.length bucket in
-  let probe = Bitset.copy mask in
-  Array.iter (Bitset.remove probe) bucket;
-  let comp = Graph.components ~mask:probe g in
-  if Array.fold_left (fun acc x -> max acc (x + 1)) 0 comp <> c then None
-  else begin
-    (* thread the cycle from vertex 0's component (component 0):
-       comp_pos gives each component its position on the cycle, edge_pos
-       each class edge (by bucket index) the position of the component it
-       leaves *)
-    let incident = Array.make c [] in
-    Array.iteri
-      (fun i e ->
-        let a = comp.(Graph.edge_u g e) and b = comp.(Graph.edge_v g e) in
-        incident.(a) <- i :: incident.(a);
-        incident.(b) <- i :: incident.(b))
-      bucket;
-    let comp_pos = Array.make c 0 and edge_pos = Array.make c 0 in
-    let cur = ref 0 and prev = ref (-1) in
-    for p = 0 to c - 1 do
-      let i = List.find (fun i -> i <> !prev) incident.(!cur) in
-      edge_pos.(i) <- p;
-      let a = comp.(Graph.edge_u g bucket.(i)) in
-      cur := if a = !cur then comp.(Graph.edge_v g bucket.(i)) else a;
-      prev := i;
-      if p + 1 < c then comp_pos.(!cur) <- p + 1
-    done;
-    (* side(p, q) = components at positions <= p plus those > q *)
-    let prefix = Array.init c (fun _ -> Bitset.create n) in
-    let suffix = Array.init (c + 1) (fun _ -> Bitset.create n) in
-    Array.iteri
-      (fun v x ->
-        Bitset.add prefix.(comp_pos.(x)) v;
-        Bitset.add suffix.(comp_pos.(x)) v)
-      comp;
-    for p = 1 to c - 1 do
-      Bitset.union_into prefix.(p) prefix.(p - 1)
-    done;
-    for p = c - 2 downto 0 do
-      Bitset.union_into suffix.(p) suffix.(p + 1)
-    done;
-    let cuts = ref [] in
-    for i = 0 to c - 1 do
-      for j = i + 1 to c - 1 do
-        let p = min edge_pos.(i) edge_pos.(j)
-        and q = max edge_pos.(i) edge_pos.(j) in
-        let side = Bitset.copy prefix.(p) in
-        Bitset.union_into side suffix.(q + 1);
-        cuts := { edge_ids = [ bucket.(i); bucket.(j) ]; side } :: !cuts
-      done
-    done;
-    Some !cuts
-  end
-
-(* [ids] sorted by (label, id), cut into runs of equal label *)
-let buckets label ids =
-  let ids = Array.copy ids in
-  Array.sort (fun a b -> compare (label.(a), a) (label.(b), b)) ids;
-  let out = ref [] and start = ref 0 in
-  for i = 1 to Array.length ids do
-    if i = Array.length ids || label.(ids.(i)) <> label.(ids.(!start)) then begin
-      out := Array.sub ids !start (i - !start) :: !out;
-      start := i
-    end
+  (* thread the cycle from vertex 0's component (component 0): comp_pos
+     gives each component its position on the cycle, edge_pos each class
+     edge (by bucket index) the position of the component it leaves *)
+  let incident = Array.make c [] in
+  Array.iteri
+    (fun i e ->
+      let a = comp.(Graph.edge_u g e) and b = comp.(Graph.edge_v g e) in
+      incident.(a) <- i :: incident.(a);
+      incident.(b) <- i :: incident.(b))
+    bucket;
+  let comp_pos = Array.make c 0 and edge_pos = Array.make c 0 in
+  let cur = ref 0 and prev = ref (-1) in
+  for p = 0 to c - 1 do
+    let i = List.find (fun i -> i <> !prev) incident.(!cur) in
+    edge_pos.(i) <- p;
+    let a = comp.(Graph.edge_u g bucket.(i)) in
+    cur := if a = !cur then comp.(Graph.edge_v g bucket.(i)) else a;
+    prev := i;
+    if p + 1 < c then comp_pos.(!cur) <- p + 1
   done;
-  List.rev !out
+  (* side(p, q) = components at positions <= p plus those > q *)
+  let prefix = Array.init c (fun _ -> Bitset.create n) in
+  let suffix = Array.init (c + 1) (fun _ -> Bitset.create n) in
+  Array.iteri
+    (fun v x ->
+      Bitset.add prefix.(comp_pos.(x)) v;
+      Bitset.add suffix.(comp_pos.(x)) v)
+    comp;
+  for p = 1 to c - 1 do
+    Bitset.union_into prefix.(p) prefix.(p - 1)
+  done;
+  for p = c - 2 downto 0 do
+    Bitset.union_into suffix.(p) suffix.(p + 1)
+  done;
+  let cuts = ref [] in
+  for i = 0 to c - 1 do
+    for j = i + 1 to c - 1 do
+      let p = min edge_pos.(i) edge_pos.(j)
+      and q = max edge_pos.(i) edge_pos.(j) in
+      let side = Bitset.copy prefix.(p) in
+      Bitset.union_into side suffix.(q + 1);
+      cuts := { edge_ids = [ bucket.(i); bucket.(j) ]; side } :: !cuts
+    done
+  done;
+  !cuts
 
-let enumerate_cut_pairs ~bits ~rng g ~mask =
-  let rng = Rng.split rng in
-  let _, parent_edge = Graph.bfs_tree ~mask g 0 in
-  let tree = Rooted_tree.of_parent_edges g ~root:0 parent_edge in
+let enumerate_cut_pairs ?bits ~rng g ~mask =
   let found = ref [] in
-  let rec refine = function
-    | [] -> ()
-    | pending ->
-      let label = Circulation.sample rng ~bits tree ~h_mask:mask in
-      let failed = ref [] in
-      List.iter
-        (fun ids ->
-          List.iter
-            (fun bucket ->
-              if Array.length bucket >= 2 then
-                match class_cuts g ~mask bucket with
-                | Some cuts -> found := cuts :: !found
-                | None -> failed := bucket :: !failed)
-            (buckets label ids))
-        pending;
-      refine !failed
-  in
-  refine [ Array.of_list (Bitset.elements mask) ];
+  Cut_pairs.iter ?bits ~rng:(Rng.split rng) g ~mask (fun cls ->
+      found := class_cuts g cls :: !found);
   List.concat !found
   |> List.sort (fun a b -> compare a.edge_ids b.edge_ids)
 
@@ -303,11 +253,11 @@ let run_trial_block ~rng ~trials ~n ~base ~us ~vs ~size =
 let max_blocks = 128
 let min_block_trials = 32
 
-let enumerate ?mask ?trials ?pool ?(bits = default_label_bits) ~rng g ~size =
+let enumerate ?mask ?trials ?pool ?bits ~rng g ~size =
   if size = 1 then enumerate_bridges ?mask g
   else if size = 2 && Dfs.is_two_edge_connected ?mask g then
     let mask = match mask with Some s -> s | None -> Graph.all_edges_mask g in
-    enumerate_cut_pairs ~bits ~rng g ~mask
+    enumerate_cut_pairs ?bits ~rng g ~mask
   else begin
     let n = Graph.n g in
     let edge_ids = masked_edges ?mask g in

@@ -43,16 +43,13 @@ val enumerate :
 
     - [size = 1]: the exact DFS bridge enumeration.
     - [size = 2] on a connected, bridgeless subgraph: exact, Las Vegas.
-      The subgraph is labelled by a random [bits]-bit XOR circulation over
-      a BFS spanning tree ({!Kecss_graph.Circulation}), its edges are
-      bucketed by label, and each bucket of c edges is accepted iff
-      removing it leaves exactly c components. A bucket that fails is
-      split by a fresh labelling until none fails. The result equals
-      {!enumerate_exhaustive}'s cut set whatever [bits] is (default 60);
-      [bits] only sets how often a collision forces another labelling.
-      Cuts come sorted by edge ids. O(m log m) per labelling plus O(n + m)
-      per bucket of two or more edges, and the caller's [rng] advances by
-      one split.
+      Every pair inside one {!Cut_pairs} class, the label / bucket /
+      check / re-label kernel that {!Edge_connectivity.lambda} also
+      decides λ = 2 with. The result equals {!enumerate_exhaustive}'s cut
+      set whatever [bits] is (default 60); [bits] only sets how often a
+      label collision forces another labelling. Cuts come sorted by edge
+      ids. O(m log m) per labelling plus O(n + m) per bucket of two or
+      more edges, and the caller's [rng] advances by one split.
     - Otherwise (size ≥ 3, or size 2 on a subgraph with a bridge):
       Karger contraction, complete w.h.p. when [size] equals the minimum
       cut value λ. [trials] defaults to [3 n² ⌈ln n⌉]. Trials run as

@@ -6,8 +6,8 @@
     and every tree edge receives the XOR of the labels of the non-tree
     edges covering it. Two edges of a bridgeless subgraph then get the
     same label whenever they form a cut pair, and a false equality has
-    probability 2^{−bits} (Property 5.1). [Labels] and [Min_cut_enum]
-    both label through {!sample}. *)
+    probability 2^{−bits} (Property 5.1). [Labels] and the connectivity
+    layer's cut-pair kernel [Cut_pairs] both label through {!sample}. *)
 
 val random_label : Rng.t -> bits:int -> int
 (** Uniform in [\[0, 2^bits)], built from 30-bit draws. *)

@@ -281,6 +281,83 @@ let bridgeless_instance (seed, n, p) =
     (Rng.permutation rng (Graph.m g));
   (g, mask)
 
+(* a random multigraph (a k-edge-connected backbone, 2 <= k <= 4, with
+   some edges doubled) and a mask thinned one of four ways: untouched,
+   at random (often disconnected or bridged), while 2-edge-connected
+   (λ = 2 with many cut-pair classes), or while 3-edge-connected *)
+let lambda_instance (seed, n, p) =
+  let rng = Rng.create ~seed in
+  let n = max 5 n in
+  let k = 2 + Rng.int rng 3 in
+  let backbone =
+    Gen.random_k_connected rng n k ~extra:(int_of_float (p *. float_of_int n))
+  in
+  let spec =
+    Graph.fold_edges
+      (fun e acc ->
+        let edge = (e.Graph.u, e.Graph.v, 1) in
+        if Rng.int rng 5 = 0 then edge :: edge :: acc else edge :: acc)
+      backbone []
+  in
+  let g = Graph.make ~n spec in
+  let mask = Graph.all_edges_mask g in
+  let thin keep =
+    Array.iter
+      (fun e ->
+        if Rng.bool rng then begin
+          Bitset.remove mask e;
+          if not (keep ()) then Bitset.add mask e
+        end)
+      (Rng.permutation rng (Graph.m g))
+  in
+  (match Rng.int rng 4 with
+  | 0 -> ()
+  | 1 -> thin (fun () -> Rng.int rng 4 > 0)
+  | 2 -> thin (fun () -> Dfs.is_two_edge_connected ~mask g)
+  | _ -> thin (fun () -> fst (Stoer_wagner.min_cut ~mask g) >= 3));
+  (g, mask)
+
+let lambda_oracle_tests =
+  [
+    qcheck
+      (QCheck.Test.make
+         ~name:"lambda, lambda ~upper:3 and 3-connectivity match Stoer-Wagner"
+         ~count:150 (arb_connected ~max_n:18 ()) (fun params ->
+           let g, mask = lambda_instance params in
+           let sw = fst (Stoer_wagner.min_cut ~mask g) in
+           Edge_connectivity.lambda ~mask g = sw
+           && Edge_connectivity.lambda ~mask ~upper:3 g = min sw 3
+           && Edge_connectivity.is_k_edge_connected ~mask g 3 = (sw >= 3)));
+    case "the oracle instances reach every capped lambda" (fun () ->
+        let seen = Array.make 4 0 in
+        for seed = 1 to 60 do
+          let g, mask = lambda_instance (seed, 6 + (seed mod 13), 0.3) in
+          let lam = min 3 (fst (Stoer_wagner.min_cut ~mask g)) in
+          seen.(lam) <- seen.(lam) + 1
+        done;
+        Array.iteri
+          (fun lam count ->
+            check_is (Printf.sprintf "lambda %d reached" lam) (count > 0))
+          seen);
+    case "1-bit labels still decide lambda = 3 and terminate" (fun () ->
+        (* with two label values most buckets are collisions, so the
+           shared kernel must re-label until every bucket is a singleton
+           before it can report that no cut pair exists *)
+        List.iter
+          (fun (name, g) ->
+            let mask = Graph.all_edges_mask g in
+            List.iter
+              (fun seed ->
+                let rng = Rng.create ~seed in
+                check_is name (not (Cut_pairs.exists ~bits:1 ~rng g ~mask));
+                check_int name 0
+                  (List.length (Min_cut_enum.enumerate ~bits:1 ~rng g ~size:2)))
+              [ 1; 2; 3; 4; 5 ];
+            check_int name 3 (Edge_connectivity.lambda ~upper:3 g);
+            check_int name 3 (Edge_connectivity.lambda g))
+          [ ("wheel10", Gen.wheel 10); ("harary3_16", Gen.harary 3 16) ]);
+  ]
+
 let cut_key c = (c.Min_cut_enum.edge_ids, Bitset.elements c.Min_cut_enum.side)
 let cut_set cuts = List.sort compare (List.map cut_key cuts)
 
@@ -502,6 +579,7 @@ let () =
       ("dfs", dfs_tests);
       ("maxflow", maxflow_tests);
       ("edge_connectivity", ec_tests);
+      ("lambda_oracle", lambda_oracle_tests);
       ("greedy_repair", repair_tests);
       ("stoer_wagner", sw_tests);
       ("gomory_hu", gomory_hu_tests);

@@ -63,7 +63,22 @@ let tiny_tests =
     case "n=1 graph" (fun () ->
         let g = Graph.make ~n:1 [] in
         check_is "vacuously k-connected"
-          (Edge_connectivity.is_k_edge_connected g 5));
+          (Edge_connectivity.is_k_edge_connected g 5);
+        (* a capped λ is [min λ upper]: never max_int, which a JSON client
+           could not even read back exactly *)
+        check_int "capped lambda" 4 (Edge_connectivity.lambda ~upper:4 g);
+        check_int "uncapped lambda" max_int (Edge_connectivity.lambda g);
+        let r = Verify.check_kecss g (Bitset.create 0) ~k:2 in
+        check_is "verified" r.Verify.ok;
+        check_int "connectivity at the cap k+1" 3 r.Verify.connectivity;
+        let srv = Kecss_serve.Server.create g ~k:2 in
+        let req = Result.get_ok (Kecss_obs.Json.parse {|{"req":"verify"}|}) in
+        let resp, _ = Kecss_serve.Server.handle srv req in
+        let field key = Kecss_obs.Json.member key resp in
+        check_is "serve verified"
+          (field "verified" = Some (Kecss_obs.Json.Bool true));
+        check_is "serve lambda at the cap"
+          (Option.bind (field "lambda") Kecss_obs.Json.to_int_opt = Some 3));
   ]
 
 (* Claim 2.1: composing Aug_i keeps every prefix i-edge-connected and the

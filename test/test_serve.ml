@@ -11,6 +11,7 @@ module Maint = Kecss_serve.Maint
 module Server = Kecss_serve.Server
 module Verify = Kecss_connectivity.Verify
 module Edge_connectivity = Kecss_connectivity.Edge_connectivity
+module Stoer_wagner = Kecss_connectivity.Stoer_wagner
 module Json = Kecss_obs.Json
 module Pool = Kecss_par.Pool
 
@@ -78,6 +79,54 @@ let test_churn_k3 () =
       if step mod 10 = 0 then
         check_canonical ~msg:(Printf.sprintf "k3 step %d" step) t);
   check_canonical ~msg:"k3 final" t
+
+(* the gate's report from an independent λ oracle: Stoer–Wagner on the
+   served solution, capped at k + 1 like the gate *)
+let reference_report t =
+  let g = Maint.graph t and sol = Maint.solution t and k = Maint.k t in
+  let spanning = Graph.is_connected ~mask:sol g in
+  let connectivity =
+    if not spanning then 0
+    else min (k + 1) (fst (Stoer_wagner.min_cut ~mask:sol g))
+  in
+  {
+    Verify.spanning;
+    connectivity;
+    required = k;
+    weight = Graph.mask_weight g sol;
+    edge_count = Bitset.cardinal sol;
+    ok = spanning && connectivity >= k;
+  }
+
+let test_gate_matches_oracle () =
+  (* C_64(1, 2) is 4-edge-connected with 128 edges, just above the
+     k = 2 certificate's 126, so the served certificate starts near
+     λ = 3 and churn walks it down through 2, 1 and 0. At k = 3 the cap
+     is 4 and the gate's λ ≥ 3 answers come from max-flow. *)
+  List.iter
+    (fun (k, must_see) ->
+      let rng = Rng.create ~seed:64 in
+      let g = Weights.uniform rng ~lo:1 ~hi:30 (Gen.circulant 64 [ 1; 2 ]) in
+      let t = Maint.create g ~k in
+      let seen = ref [] in
+      let check_step step report =
+        let want = reference_report t in
+        let msg what = Printf.sprintf "k=%d step %d: %s" k step what in
+        Alcotest.(check bool) (msg "gate report") true (report = want);
+        Alcotest.(check bool) (msg "verify report") true (Maint.verify t = want);
+        if not (List.mem want.Verify.connectivity !seen) then
+          seen := want.Verify.connectivity :: !seen
+      in
+      check_step 0 (Maint.verify t);
+      churn ~seed:(17 + k) ~updates:90 t ~per_update:(fun step _ outcome ->
+          check_step step outcome.Maint.report);
+      List.iter
+        (fun lam ->
+          Alcotest.(check bool)
+            (Printf.sprintf "k=%d: a certificate with capped λ = %d" k lam)
+            true (List.mem lam !seen))
+        must_see)
+    [ (2, [ 2; 3 ]); (3, [ 3; 4 ]) ]
 
 let test_certificate_bound () =
   (* certificate size ≤ k(n-1); λ(C) ≥ min(k, λ(G)) on the initial set *)
@@ -422,6 +471,8 @@ let maint_tests =
     case "churn stream matches from-scratch rebuild at every step"
       test_churn_matches_rebuild;
     case "k=3 churn stays canonical" test_churn_k3;
+    case "gate reports match a Stoer-Wagner oracle at k=2 and k=3"
+      test_gate_matches_oracle;
     case "certificate verifies within the size bound" test_certificate_bound;
     case "delete+reinsert restores the identical certificate"
       test_delete_insert_roundtrip;

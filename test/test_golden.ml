@@ -1,9 +1,9 @@
 (* Golden byte-identity: the seeded outputs of the covering solvers,
-   pinned to recorded values. Cover, Augk, Ecss3 and Greedy share the
-   coverage state, the guessing schedule and the repair net, so a change
-   to any of them that moves a solution, a per-level statistic, a round
-   or message count, or the traced event stream shows up here as a named
-   line. *)
+   pinned to recorded values. Cover, Tap, Augk, Ecss3 and Greedy share the
+   coverage state, the voting step, the guessing schedule and the repair
+   net, so a change to any of them that moves a solution, a per-level
+   statistic, a charging sum, a round or message count, or the traced
+   event stream shows up here as a named line. *)
 open Kecss_graph
 open Kecss_congest
 open Kecss_core
@@ -64,10 +64,22 @@ let ecss3_line name label solve g =
     name label (digest_mask r.Ecss3.solution) r.Ecss3.iterations r.Ecss3.phases
     r.Ecss3.repaired (Rounds.total ledger) (Rounds.total_messages ledger)
 
+(* weighted 2-ECSS: the Tap outcome, its §3.3 charging sum to the bit, and
+   the engine's round and message totals *)
+let ecss2_line ?tap_config name label g =
+  let ledger = Rounds.create () in
+  let r = Ecss2.solve_with ?tap_config ledger (Rng.create ~seed:5) g in
+  let t = r.Ecss2.tap in
+  Printf.sprintf
+    "%s %s: solution=%s iterations=%d forced=%d cost_sum=%h rounds=%d messages=%d"
+    name label (digest_mask r.Ecss2.solution) t.Tap.iterations t.Tap.forced
+    t.Tap.cost_sum (Rounds.total ledger) (Rounds.total_messages ledger)
+
 let graph_lines (name, g) =
   kecss_lines name g ~k:3
   @ kecss_lines name g ~k:4
   @ [
+      ecss2_line name "2ecss" g;
       ecss3_line name "ecss3" (fun l r g -> Ecss3.solve_with l r g) g;
       ecss3_line name "ecss3w" (fun l r g -> Ecss3.solve_weighted_with l r g) g;
       (let s = Kecss_baselines.Greedy.kecss g ~k:3 in
@@ -76,7 +88,25 @@ let graph_lines (name, g) =
       (let r = Mds.solve ~strategy:(Cover.Guessing { m_phase = 1 }) ~seed:7 g in
        Printf.sprintf "%s mds guessing: set=%s size=%d iterations=%d" name
          (digest_mask r.Mds.set) r.Mds.size r.Mds.iterations);
+      (let r = Mds.solve ~strategy:(Cover.Voting { divisor = 8 }) ~seed:7 g in
+       Printf.sprintf "%s mds voting: set=%s size=%d iterations=%d" name
+         (digest_mask r.Mds.set) r.Mds.size r.Mds.iterations);
     ]
+
+(* a sparse 2-edge-connected graph, where Tap runs for many iterations *)
+let sparse_graph () =
+  let rng = Rng.create ~seed:4037 in
+  let g = Gen.random_k_connected rng 96 2 ~extra:40 in
+  ("sparse96", Weights.uniform rng ~lo:1 ~hi:50 g)
+
+(* Tap's unconditional-termination fallback: an iteration bound of 3 makes
+   every later iteration a forced greedy addition *)
+let tap_lines () =
+  let name, g = sparse_graph () in
+  let tap_config =
+    { (Tap.default_config (Graph.n g)) with Tap.max_iterations = 3 }
+  in
+  [ ecss2_line name "2ecss" g; ecss2_line ~tap_config name "2ecss forced" g ]
 
 (* one traced Kecss k=3 solve: the digest of its exported event stream *)
 let trace_line () =
@@ -85,6 +115,16 @@ let trace_line () =
   let ledger = Rounds.create ~trace () in
   ignore (Kecss.solve_with ledger (Rng.create ~seed:3) g ~k:3);
   Printf.sprintf "trace kecss k=3: events=%d digest=%s"
+    (Kecss_obs.Trace.event_count trace)
+    (Digest.to_hex (Digest.string (Kecss_obs.Export.jsonl trace)))
+
+(* one traced weighted 2-ECSS solve: the digest of its exported stream *)
+let trace_ecss2_line () =
+  let _, g = sparse_graph () in
+  let trace = Kecss_obs.Trace.create () in
+  let ledger = Rounds.create ~trace () in
+  ignore (Ecss2.solve_with ledger (Rng.create ~seed:5) g);
+  Printf.sprintf "trace 2ecss: events=%d digest=%s"
     (Kecss_obs.Trace.event_count trace)
     (Digest.to_hex (Digest.string (Kecss_obs.Export.jsonl trace)))
 
@@ -97,10 +137,12 @@ let expected =
     "hyper4 kecss k=4 level 2: iterations=33 phases=8 repaired=0 active_weight=156";
     "hyper4 kecss k=4 level 3: iterations=60 phases=14 repaired=0 active_weight=193";
     "hyper4 kecss k=4 level 4: iterations=40 phases=9 repaired=0 active_weight=230";
+    "hyper4 2ecss: solution=973a4f4f200fb96cd8051479c9dd4ab2 iterations=1 forced=0 cost_sum=0x1.7caf8af8af8afp+6 rounds=165 messages=1101";
     "hyper4 ecss3: solution=2715b248081d1d05fd53d99f93025c7d iterations=37 phases=9 repaired=0 rounds=1289 messages=5543";
     "hyper4 ecss3w: solution=ddcc8240d586e489a2f1f3e68611d0e4 iterations=1 phases=0 repaired=6 rounds=210 messages=1338";
     "hyper4 greedy k=3: solution=8ed733e826536d08f509f83a8d473ce9 weight=480";
     "hyper4 mds guessing: set=94f78fea7fe0b5ef23a71a9b9ef43dda size=5 iterations=15";
+    "hyper4 mds voting: set=e578ffbd740c97dae222c2b08fb8a62e size=5 iterations=1";
     "torus4x5 kecss k=3: solution=34005c813953f8c7446eb6050c9424f4 weight=699 rounds=14114 messages=6754";
     "torus4x5 kecss k=3 level 2: iterations=40 phases=11 repaired=0 active_weight=121";
     "torus4x5 kecss k=3 level 3: iterations=65 phases=16 repaired=0 active_weight=326";
@@ -108,10 +150,12 @@ let expected =
     "torus4x5 kecss k=4 level 2: iterations=40 phases=11 repaired=0 active_weight=121";
     "torus4x5 kecss k=4 level 3: iterations=65 phases=16 repaired=0 active_weight=326";
     "torus4x5 kecss k=4 level 4: iterations=22 phases=5 repaired=0 active_weight=309";
+    "torus4x5 2ecss: solution=447ae4db85f5ff71687b8d1d7ebd698b iterations=2 forced=0 cost_sum=0x1.1dba2e8ba2e8cp+7 rounds=218 messages=1717";
     "torus4x5 ecss3: solution=f8b0e09a918e2a14999d00167ccf77bf iterations=48 phases=11 repaired=0 rounds=1665 messages=9064";
     "torus4x5 ecss3w: solution=34005c813953f8c7446eb6050c9424f4 iterations=1 phases=0 repaired=9 rounds=256 messages=2031";
     "torus4x5 greedy k=3: solution=b5fb65d49979994890bfc2e2351570c6 weight=674";
     "torus4x5 mds guessing: set=3a1b14f773e743c3e022a91178707e12 size=6 iterations=18";
+    "torus4x5 mds voting: set=e107251e2b1762aa70189ab530aa1741 size=8 iterations=1";
     "rand22 kecss k=3: solution=a6d2b33658d9573d8386492ee76cd63c weight=631 rounds=14067 messages=6845";
     "rand22 kecss k=3 level 2: iterations=50 phases=12 repaired=0 active_weight=180";
     "rand22 kecss k=3 level 3: iterations=41 phases=10 repaired=0 active_weight=222";
@@ -119,18 +163,25 @@ let expected =
     "rand22 kecss k=4 level 2: iterations=50 phases=12 repaired=0 active_weight=180";
     "rand22 kecss k=4 level 3: iterations=41 phases=10 repaired=0 active_weight=222";
     "rand22 kecss k=4 level 4: iterations=72 phases=15 repaired=0 active_weight=387";
+    "rand22 2ecss: solution=8cdedb8d3c071b122bc70d6a4eee629d iterations=3 forced=0 cost_sum=0x1.32a4924924925p+7 rounds=249 messages=3103";
     "rand22 ecss3: solution=933a1de7773924ab2564d282a763304e iterations=51 phases=11 repaired=0 rounds=1405 messages=15621";
     "rand22 ecss3w: solution=5938bc3172a813c966b5dd988ced64f3 iterations=1 phases=0 repaired=7 rounds=291 messages=3564";
     "rand22 greedy k=3: solution=8b451121360fa0b7a9b6e2c768afc309 weight=622";
     "rand22 mds guessing: set=986ade4794eacac996e2aefe01bbd5d8 size=5 iterations=16";
+    "rand22 mds voting: set=9f5befc53930aa8a17c3388807079a91 size=5 iterations=2";
+    "sparse96 2ecss: solution=2054dd9dd1f787aea29dfda79e8fe0d0 iterations=6 forced=0 cost_sum=0x1.80f70f70f70f7p+9 rounds=899 messages=17271";
+    "sparse96 2ecss forced: solution=1ebad88f459dff732def62d1935a4bd7 iterations=15 forced=12 cost_sum=0x1.08ee1ee1ee1edp+8 rounds=1421 messages=28620";
     "trace kecss k=3: events=1007 digest=15454bffeb89ee4231045ed248123a59";
+    "trace 2ecss: events=378 digest=f0a27ce2d4e6eddca5b2f22d1bedaf23";
   ]
 
 let golden_tests =
   [
     case "seeded outputs are byte-identical to the recorded values" (fun () ->
         let actual =
-          List.concat_map graph_lines (golden_pool ()) @ [ trace_line () ]
+          List.concat_map graph_lines (golden_pool ())
+          @ tap_lines ()
+          @ [ trace_line (); trace_ecss2_line () ]
         in
         Alcotest.(check (list string)) "golden lines" expected actual);
   ]

@@ -25,23 +25,37 @@ module Sparsify = Kecss_sparsify.Sparsify
 (* shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* both wire formats are accepted everywhere a graph is read: [Io.load]
-   sniffs the magic on files, and stdin is buffered whole and sniffed *)
-let read_graph = function
-  | "-" ->
-    let buf = Buffer.create 65536 in
-    let chunk = Bytes.create 65536 in
-    let rec slurp () =
-      let r = input stdin chunk 0 (Bytes.length chunk) in
-      if r > 0 then begin
-        Buffer.add_subbytes buf chunk 0 r;
-        slurp ()
-      end
-    in
-    (try slurp () with End_of_file -> ());
-    let s = Buffer.contents buf in
-    if Io.is_binary_magic s then Io.of_binary_string s else Io.of_string s
-  | path -> Io.load path
+(* the one place the CLI reads graphs. Both wire formats are accepted:
+   [Io.load] sniffs the magic on files, and stdin is buffered whole and
+   sniffed. An unreadable file and a malformed one each come back as a
+   named error, never as an exception *)
+let read_graph ?(what = "graph") path =
+  let load = function
+    | "-" ->
+      let buf = Buffer.create 65536 in
+      let chunk = Bytes.create 65536 in
+      let rec slurp () =
+        let r = input stdin chunk 0 (Bytes.length chunk) in
+        if r > 0 then begin
+          Buffer.add_subbytes buf chunk 0 r;
+          slurp ()
+        end
+      in
+      (try slurp () with End_of_file -> ());
+      let s = Buffer.contents buf in
+      if Io.is_binary_magic s then Io.of_binary_string s else Io.of_string s
+    | path -> Io.load path
+  in
+  match load path with
+  | g -> Ok g
+  | exception Sys_error msg -> Error (Printf.sprintf "cannot read %s: %s" what msg)
+  | exception Failure msg -> Error (Printf.sprintf "cannot parse %s: %s" what msg)
+
+(* every solver assumes a connected input: reject the rest in O(m) before
+   sparsify or any engine pass, instead of letting the engines spin *)
+let read_solver_input path =
+  Result.bind (read_graph path) (fun g ->
+      if Graph.is_connected g then Ok g else Error "graph is disconnected")
 
 let graph_arg =
   let doc = "Input graph file (kecss format; - for stdin)." in
@@ -273,14 +287,15 @@ let report_faults = function
       (Kecss_faults.Net.stats inj)
       (Kecss_faults.Net.rounds_seen inj)
 
-let stalled_error ~report ~rounds ~active ~in_flight =
+(* a stall is blamed on the fault plan only when one was given *)
+let stalled_error ~faulted ~report ~rounds ~active ~in_flight =
   Format.eprintf
     "stalled: no quiescence after %d engine rounds (%d vertices active, %d \
      messages in flight)@."
     rounds active in_flight;
   report ();
-  Printf.sprintf
-    "solver stalled under the fault plan (rounds=%d active=%d in_flight=%d)"
+  Printf.sprintf "solver stalled%s (rounds=%d active=%d in_flight=%d)"
+    (if faulted then " under the fault plan" else "")
     rounds active in_flight
 
 (* ------------------------------------------------------------------ *)
@@ -500,9 +515,8 @@ let convert path out format =
   | Error msg -> `Error (false, msg)
   | Ok to_binary -> (
     match read_graph path with
-    | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-    | exception Failure msg -> `Error (false, msg)
-    | g -> (
+    | Error msg -> `Error (false, msg)
+    | Ok g -> (
       let write () =
         match (out, to_binary) with
         | "-", true -> print_string (Io.to_binary_string g)
@@ -602,9 +616,9 @@ let solve path algo k seed jobs par_threshold quiet faults sparsify trace_path
   match parse_sparsify sparsify with
   | Error msg -> `Error (false, msg)
   | Ok sparsify_mode ->
-  match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  match read_solver_input path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let trace, metrics, monitor =
     make_sinks trace_path trace_jsonl metrics_on monitor_mode
   in
@@ -642,7 +656,7 @@ let solve path algo k seed jobs par_threshold quiet faults sparsify trace_path
   | exception Kecss_congest.Network.Did_not_quiesce { rounds; active; in_flight }
     ->
     let msg =
-      stalled_error
+      stalled_error ~faulted:(plan <> None)
         ~report:(fun () -> report_faults injector)
         ~rounds ~active ~in_flight
     in
@@ -723,9 +737,9 @@ let explain path algo k seed jobs top phase json_out =
   match apply_jobs jobs with
   | Error msg -> `Error (false, msg)
   | Ok () ->
-  match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  match read_solver_input path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let causal = Kecss_obs.Causal.create () in
   let ledger = Kecss_congest.Rounds.create ~causal () in
   match run_algo ledger ~algo ~k ~seed g with
@@ -812,8 +826,12 @@ let explain_cmd =
 (* ------------------------------------------------------------------ *)
 
 let verify path sol_path k =
-  let g = read_graph path in
-  let sol = read_graph sol_path in
+  match read_graph path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
+  match read_graph ~what:"solution" sol_path with
+  | Error msg -> `Error (false, msg)
+  | Ok sol ->
   (* re-identify the solution's edges inside g *)
   let mask = Graph.no_edges_mask g in
   let missing = ref 0 in
@@ -856,9 +874,9 @@ let mask_weight g mask =
 let greedy_audit_max_n = 24
 
 let audit path algo k seed json_out trace_path =
-  match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  match read_solver_input path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let trace = Kecss_obs.Trace.create () in
   let metrics = Kecss_obs.Metrics.create ~trace () in
   let monitor = Kecss_obs.Monitor.create () in
@@ -1106,7 +1124,8 @@ let experiment ids list_only jobs faults sparsify trace_path trace_jsonl
         { rounds; active; in_flight } ->
       `Error
         ( false,
-          stalled_error ~report:report_fault_totals ~rounds ~active ~in_flight
+          stalled_error ~faulted:(plan <> None) ~report:report_fault_totals
+            ~rounds ~active ~in_flight
         )
     | () ->
       report_fault_totals ();
@@ -1161,15 +1180,15 @@ let resilience path algo sol_path k seed jobs trials json_out strict =
   match apply_jobs jobs with
   | Error msg -> `Error (false, msg)
   | Ok () ->
-  match read_graph path with
-  | exception Sys_error msg -> `Error (false, "cannot read graph: " ^ msg)
-  | g ->
+  match read_solver_input path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let obtain =
     match sol_path with
     | Some sp -> (
-      match read_graph sp with
-      | exception Sys_error msg -> Error ("cannot read solution: " ^ msg)
-      | sol ->
+      match read_graph ~what:"solution" sp with
+      | Error msg -> Error msg
+      | Ok sol ->
         (* re-identify the solution's edges inside g, as `verify` does *)
         let mask = Graph.no_edges_mask g in
         let missing = ref 0 in
@@ -1267,7 +1286,9 @@ let resilience_cmd =
 (* ------------------------------------------------------------------ *)
 
 let info_run path =
-  let g = read_graph path in
+  match read_graph path with
+  | Error msg -> `Error (false, msg)
+  | Ok g ->
   let n = Graph.n g in
   let ppf = Format.std_formatter in
   let connected = Graph.is_connected g in
@@ -1376,8 +1397,10 @@ let socket_arg =
 let serve_run graph_path k seed jobs stdio socket quiet =
   match apply_jobs jobs with
   | Error m -> `Error (false, m)
-  | Ok () -> (
-    let g = read_graph graph_path in
+  | Ok () ->
+  match read_solver_input graph_path with
+  | Error m -> `Error (false, m)
+  | Ok g -> (
     let srv = Server.create ~seed g ~k in
     let log s = if not quiet then Printf.eprintf "kecss serve: %s\n%!" s in
     let finish () =

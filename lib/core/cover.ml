@@ -77,13 +77,15 @@ module Schedule = struct
   let phases t = t.phases
 end
 
-(* shared mutable coverage state *)
+(* shared mutable coverage state; the incidence is read from [covered_by]
+   once, in [init], and every later step walks the stored arrays *)
 type state = {
   p : problem;
+  elems : int array array;        (* per candidate: the elements it covers *)
+  coverers : int array array;     (* per element: candidates covering it *)
   covered : bool array;
   mutable uncovered : int;
   ce : int array;                 (* per candidate: uncovered covered *)
-  coverers : int list array;      (* per element: candidates covering it *)
   index : Level_index.t;          (* candidates bucketed by Cost.level *)
   chosen : Bitset.t;
   mutable cost_sum : float;
@@ -91,16 +93,19 @@ type state = {
 
 let init p =
   if p.elements < 0 || p.candidates < 0 then invalid_arg "Cover: negative sizes";
+  let elems =
+    Array.init p.candidates (fun c -> Array.of_list (p.covered_by c))
+  in
   let coverers = Array.make p.elements [] in
-  let ce = Array.make p.candidates 0 in
-  for c = 0 to p.candidates - 1 do
-    List.iter
-      (fun el ->
-        if el < 0 || el >= p.elements then invalid_arg "Cover: element out of range";
-        coverers.(el) <- c :: coverers.(el);
-        ce.(c) <- ce.(c) + 1)
-      (p.covered_by c)
-  done;
+  Array.iteri
+    (fun c ->
+      Array.iter (fun el ->
+          if el < 0 || el >= p.elements then
+            invalid_arg "Cover: element out of range";
+          coverers.(el) <- c :: coverers.(el)))
+    elems;
+  let coverers = Array.map Array.of_list coverers in
+  let ce = Array.map Array.length elems in
   let index =
     Level_index.create ~universe:p.candidates ~level:(fun c ->
         Cost.level ~covered:ce.(c) ~weight:(p.weight c))
@@ -110,12 +115,13 @@ let init p =
   done;
   {
     p;
+    elems;
+    coverers;
     covered = Array.make p.elements false;
     uncovered = p.elements;
     ce;
-    coverers;
     index;
-    chosen = Bitset.create (max 1 p.candidates);
+    chosen = Bitset.create p.candidates;
     cost_sum = 0.0;
   }
 
@@ -123,25 +129,29 @@ let commit st c =
   if not (Bitset.mem st.chosen c) then begin
     Bitset.add st.chosen c;
     Level_index.retire st.index c;
-    List.iter
+    Array.iter
       (fun el ->
         if not st.covered.(el) then begin
           st.covered.(el) <- true;
           st.uncovered <- st.uncovered - 1;
-          List.iter
+          Array.iter
             (fun c' ->
               st.ce.(c') <- st.ce.(c') - 1;
               Level_index.touch st.index c')
             st.coverers.(el)
         end)
-      (st.p.covered_by c)
+      st.elems.(c)
   end
 
 let max_level st = Level_index.max_level st.index
 let iter_at st level f = Level_index.iter_at st.index level f
+let candidates_at st level = Level_index.candidates_at st.index level
+let histogram st = Level_index.histogram st.index
 let ce st c = st.ce.(c)
+let is_covered st el = st.covered.(el)
 let uncovered st = st.uncovered
 let chosen st = st.chosen
+let cost_sum st = st.cost_sum
 
 (* the engines' entry: reject uncoverable elements (the augmentations
    skip this and let their repair net report them), then warm start —
@@ -154,7 +164,7 @@ let start ?initial p =
   let st = init p in
   Array.iteri
     (fun el cs ->
-      if cs = [] then
+      if cs = [||] then
         invalid_arg (Printf.sprintf "Cover: element %d uncoverable" el))
     st.coverers;
   Option.iter
@@ -165,72 +175,72 @@ let start ?initial p =
     initial;
   st
 
+type winner = { candidate : int; votes : int; size : int }
+type ballot = { winners : winner list; voters : int }
+
 (* §3 voting, one step over the max-level candidates. Scratch is
-   allocated once: per-element best (rank, candidate, size), validated
-   against a per-step stamp — no per-step array or tuple allocation, and
-   no O(elements) clear between steps *)
+   allocated once: per candidate its rank and tally, per element its
+   vote, validated against a per-step stamp — no O(elements) clear
+   between steps *)
 let voting st rng ~divisor =
   let p = st.p in
   let rank_bound = 1 lsl 60 in
-  let best_r = Array.make (max 1 p.elements) max_int in
-  let best_c = Array.make (max 1 p.elements) max_int in
-  let best_size = Array.make (max 1 p.elements) 0 in
+  let rank = Array.make (max 1 p.candidates) 0 in
+  let tally = Array.make (max 1 p.candidates) 0 in
+  let best = Array.make (max 1 p.elements) 0 in
   let best_stamp = Array.make (max 1 p.elements) 0 in
   let stamp = ref 0 in
   fun cands ->
     incr stamp;
     let stamp = !stamp in
-    let ranked =
-      List.map (fun c -> (c, Rng.int rng rank_bound + 1, st.ce.(c))) cands
-    in
+    (* ranks in candidate order, so the draws are seed-stable *)
     List.iter
-      (fun (c, r, size) ->
-        List.iter
+      (fun c ->
+        rank.(c) <- Rng.int rng rank_bound + 1;
+        tally.(c) <- 0)
+      cands;
+    (* every uncovered element votes for its first covering candidate by
+       (rank, id) *)
+    List.iter
+      (fun c ->
+        let r = rank.(c) in
+        Array.iter
           (fun el ->
             if not st.covered.(el) then
-              let fresh = best_stamp.(el) <> stamp in
-              if
-                fresh
-                || r < best_r.(el)
-                || (r = best_r.(el) && c < best_c.(el))
-              then begin
+              if best_stamp.(el) <> stamp then begin
                 best_stamp.(el) <- stamp;
-                best_r.(el) <- r;
-                best_c.(el) <- c;
-                best_size.(el) <- size
-              end)
-          (p.covered_by c))
-      ranked;
-    let votes = Hashtbl.create 16 in
+                best.(el) <- c
+              end
+              else
+                let b = best.(el) in
+                if r < rank.(b) || (r = rank.(b) && c < b) then best.(el) <- c)
+          st.elems.(c))
+      cands;
+    let voters = ref 0 in
     for el = 0 to p.elements - 1 do
-      if best_stamp.(el) = stamp && not st.covered.(el) then begin
-        let c = best_c.(el) in
-        Hashtbl.replace votes c
-          (1 + Option.value ~default:0 (Hashtbl.find_opt votes c))
+      if best_stamp.(el) = stamp then begin
+        incr voters;
+        tally.(best.(el)) <- tally.(best.(el)) + 1
       end
     done;
-    let added =
-      List.filter_map
-        (fun (c, _, size) ->
-          let v = Option.value ~default:0 (Hashtbl.find_opt votes c) in
-          if divisor * v >= size then Some c else None)
-        ranked
-    in
-    (* §3.3 cost charging before coverage flips *)
-    let added_set = Hashtbl.create 8 in
-    List.iter (fun c -> Hashtbl.replace added_set c ()) added;
+    let wins c = divisor * tally.(c) >= st.ce.(c) in
+    (* §3.3 cost charging before coverage flips, in ascending element
+       order: an element whose vote went to a winner pays w/|Ce| *)
     for el = 0 to p.elements - 1 do
-      if
-        best_stamp.(el) = stamp
-        && (not st.covered.(el))
-        && Hashtbl.mem added_set best_c.(el)
-      then
+      if best_stamp.(el) = stamp && wins best.(el) then
+        let c = best.(el) in
         st.cost_sum <-
-          st.cost_sum
-          +. float_of_int (p.weight best_c.(el))
-             /. float_of_int best_size.(el)
+          st.cost_sum +. (float_of_int (p.weight c) /. float_of_int st.ce.(c))
     done;
-    List.iter (commit st) added
+    let winners =
+      List.filter_map
+        (fun c ->
+          if wins c then Some { candidate = c; votes = tally.(c); size = st.ce.(c) }
+          else None)
+        cands
+    in
+    List.iter (fun w -> commit st w.candidate) winners;
+    { winners; voters = !voters }
 
 let solve ?(trace = Kecss_obs.Trace.noop) ?max_iterations ?initial rng p
     strategy =
@@ -247,7 +257,7 @@ let solve ?(trace = Kecss_obs.Trace.noop) ?max_iterations ?initial rng p
     match strategy with
     | Voting { divisor } ->
       let vote = voting st rng ~divisor in
-      fun _ cands -> vote cands
+      fun _ cands -> ignore (vote cands)
     | Guessing { m_phase } ->
       let sched =
         Schedule.create ~algo:"cover" ~m_phase ~n ~candidates:p.candidates ()
@@ -262,7 +272,7 @@ let solve ?(trace = Kecss_obs.Trace.noop) ?max_iterations ?initial rng p
     incr iterations;
     let level = max_level st in
     assert (Cost.is_candidate_level level);
-    let cands = Level_index.candidates_at st.index level in
+    let cands = candidates_at st level in
     if !iterations > max_iterations then begin
       (* unconditional termination: one greedy step *)
       incr forced;

@@ -14,17 +14,20 @@
     What the solvers share from here:
     {ul
     {- the coverage state ({!init}, {!commit}, {!max_level}, {!iter_at},
-       {!ce}, {!uncovered}, {!chosen}): {!Augk} runs on it with the
-       size-(k−1) cuts of H as elements and the edges as candidates;}
+       {!candidates_at}, {!ce}, {!uncovered}, {!chosen}): {!Tap} runs on
+       it with the tree edges as elements and the non-tree edges as
+       candidates, {!Augk} with the size-(k−1) cuts of H as elements and
+       the edges as candidates;}
+    {- the §3 voting step ({!voting}): {!Voting} and {!Tap} both call
+       it, so ranks, votes, the threshold and the §3.3 charging exist
+       once;}
     {- the probability-guessing {!Schedule}: {!Guessing}, {!Augk} and
        {!Ecss3} all draw, reset and double through it;}
     {- the exact repair net that ends both augmentations lives beside the
        cut queries, as {!Kecss_connectivity.Edge_connectivity.greedy_repair}.}}
-    What stays local: {!Tap} keeps its CSR path state (its coverage is
-    per tree edge, updated along fundamental paths, and it is the 2-ECSS
-    engine's hot path), and {!Ecss3} keeps its label-based coverage —
-    its cut pairs exist only through the circulation labels, so there is
-    no element list to hand to {!init}.
+    What stays local: {!Ecss3} keeps its label-based coverage — its cut
+    pairs exist only through the circulation labels, so there is no
+    element list to hand to {!init}.
 
     The framework is combinatorial (no round accounting): each concrete
     distributed instantiation charges its own communication, as the main
@@ -36,7 +39,9 @@ type problem = {
   elements : int;               (** elements are [0 .. elements-1] *)
   candidates : int;             (** candidates are [0 .. candidates-1] *)
   weight : int -> int;          (** non-negative candidate weights *)
-  covered_by : int -> int list; (** the elements a candidate covers *)
+  covered_by : int -> int list;
+      (** the elements a candidate covers; {!solve}, {!greedy} and
+          {!init} call it exactly once per candidate *)
 }
 
 type strategy =
@@ -142,10 +147,13 @@ type state
 
 val init : problem -> state
 (** Every element uncovered, every candidate indexed at its
-    {!Cost.level}. Unlike {!solve} and {!greedy}, [init] does not reject
-    uncoverable elements: such an element keeps {!uncovered} positive
-    after {!max_level} has dropped to {!Cost.useless}. Raises
-    [Invalid_argument] on negative sizes or an out-of-range element. *)
+    {!Cost.level}. Calls [covered_by] once per candidate and keeps the
+    incidence (candidate → elements, element → candidates) in arrays;
+    nothing after [init] calls it again. Unlike {!solve} and {!greedy},
+    [init] does not reject uncoverable elements: such an element keeps
+    {!uncovered} positive after {!max_level} has dropped to
+    {!Cost.useless}. Raises [Invalid_argument] on negative sizes or an
+    out-of-range element. *)
 
 val commit : state -> int -> unit
 (** Choose a candidate: its uncovered elements become covered and every
@@ -158,8 +166,41 @@ val max_level : state -> Cost.level
 val iter_at : state -> Cost.level -> (int -> unit) -> unit
 (** The unchosen candidates at exactly that level, ascending. *)
 
+val candidates_at : state -> Cost.level -> int list
+(** {!iter_at} as a list. *)
+
+val histogram : state -> (Cost.level * int) list
+(** Occupied levels with their unchosen candidate counts, ascending. *)
+
 val ce : state -> int -> int
 (** How many uncovered elements the candidate covers. *)
 
+val is_covered : state -> int -> bool
 val uncovered : state -> int
 val chosen : state -> Bitset.t
+
+val cost_sum : state -> float
+(** The §3.3 charging sum of the {!voting} steps so far. *)
+
+(** {1 The §3 voting step} *)
+
+type winner = {
+  candidate : int;
+  votes : int;  (** elements that voted for it *)
+  size : int;   (** its |Ce| when the ranks were drawn *)
+}
+
+type ballot = {
+  winners : winner list;  (** ascending candidate order *)
+  voters : int;           (** uncovered elements that cast a vote *)
+}
+
+val voting : state -> Rng.t -> divisor:int -> int list -> ballot
+(** [voting st rng ~divisor] allocates the step's scratch once; each
+    application to a candidate list (ascending, all at one level) is one
+    §3 step. Every candidate draws a rank in [1 .. 2^60] in list order;
+    every uncovered element votes for its first covering candidate by
+    (rank, id); a candidate with [divisor · votes ≥ |Ce|] wins. Each
+    element whose vote went to a winner adds [w/|Ce|] of that winner to
+    {!cost_sum}, summed in ascending element order; then the winners are
+    committed. *)

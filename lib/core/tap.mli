@@ -25,7 +25,14 @@
     for the global maximum — O(D + √n) rounds per iteration (Lemma 3.3).
 
     Zero-weight edges are all added to A before the first iteration, as in
-    the paper. *)
+    the paper.
+
+    Locally this is the {!Cover.Voting} instance of the §2.1 framework:
+    the tree edges are the elements, the non-tree edges the candidates
+    (each covering the tree edges on its fundamental path), and every
+    iteration is one {!Cover.voting} step on {!Cover}'s coverage state —
+    Tap adds only the §3.1 communication charges, the iteration trace,
+    the events and the fallback. *)
 
 open Kecss_graph
 open Kecss_congest

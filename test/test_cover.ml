@@ -91,6 +91,33 @@ let framework_tests =
         let gw = Bitset.fold (fun c acc -> acc + p.Cover.weight c) greedy 0 in
         (* randomized parallel should be within a small factor of greedy *)
         check_is "close to greedy" (r.Cover.weight <= 4 * gw));
+    case "covered_by is queried once per candidate" (fun () ->
+        (* the coverage state keeps the incidence it read in [init]:
+           commits and voting steps must not query the problem again *)
+        let rng = Rng.create ~seed:31 in
+        let base = random_problem rng ~elements:40 ~candidates:12 ~max_w:9 in
+        let check_once name run =
+          let calls = Array.make base.Cover.candidates 0 in
+          let p =
+            {
+              base with
+              Cover.covered_by =
+                (fun c ->
+                  calls.(c) <- calls.(c) + 1;
+                  base.Cover.covered_by c);
+            }
+          in
+          run p;
+          Array.iteri
+            (fun c k -> check_int (Printf.sprintf "%s candidate %d" name c) 1 k)
+            calls
+        in
+        List.iter
+          (fun (name, s) ->
+            check_once name (fun p ->
+                ignore (Cover.solve (Rng.create ~seed:1) p s)))
+          strategies;
+        check_once "greedy" (fun p -> ignore (Cover.greedy p)));
     case "uncoverable element rejected" (fun () ->
         let p =
           {

@@ -71,6 +71,11 @@ let tiny_tests =
         let r = Verify.check_kecss g (Bitset.create 0) ~k:2 in
         check_is "verified" r.Verify.ok;
         check_int "connectivity at the cap k+1" 3 r.Verify.connectivity;
+        (* no tree edge to cover: Tap returns an empty augmentation over
+           the graph's own (empty) edge universe *)
+        let s = Kecss_core.Ecss2.solve g in
+        check_int "2ecss picks nothing" 0
+          (Bitset.cardinal s.Kecss_core.Ecss2.solution);
         let srv = Kecss_serve.Server.create g ~k:2 in
         let req = Result.get_ok (Kecss_obs.Json.parse {|{"req":"verify"}|}) in
         let resp, _ = Kecss_serve.Server.handle srv req in

@@ -93,7 +93,7 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
                 for ci = Array.length cuts - 1 downto 0 do
                   if Min_cut_enum.covers g cuts.(ci) e then acc := ci :: !acc
                 done;
-              !acc);
+              Array.of_list !acc);
         }
     in
     let a = Cover.chosen cover in

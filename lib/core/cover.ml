@@ -4,7 +4,7 @@ type problem = {
   elements : int;
   candidates : int;
   weight : int -> int;
-  covered_by : int -> int list;
+  covered_by : int -> int array;
 }
 
 type strategy =
@@ -93,18 +93,22 @@ type state = {
 
 let init p =
   if p.elements < 0 || p.candidates < 0 then invalid_arg "Cover: negative sizes";
-  let elems =
-    Array.init p.candidates (fun c -> Array.of_list (p.covered_by c))
-  in
-  let coverers = Array.make p.elements [] in
+  let elems = Array.init p.candidates p.covered_by in
+  (* element → candidates by counting sort: size each row, then fill *)
+  let degree = Array.make p.elements 0 in
+  Array.iter
+    (Array.iter (fun el ->
+         if el < 0 || el >= p.elements then
+           invalid_arg "Cover: element out of range";
+         degree.(el) <- degree.(el) + 1))
+    elems;
+  let coverers = Array.map (fun d -> Array.make d 0) degree in
   Array.iteri
     (fun c ->
       Array.iter (fun el ->
-          if el < 0 || el >= p.elements then
-            invalid_arg "Cover: element out of range";
-          coverers.(el) <- c :: coverers.(el)))
+          degree.(el) <- degree.(el) - 1;
+          coverers.(el).(degree.(el)) <- c))
     elems;
-  let coverers = Array.map Array.of_list coverers in
   let ce = Array.map Array.length elems in
   let index =
     Level_index.create ~universe:p.candidates ~level:(fun c ->
@@ -329,7 +333,7 @@ let greedy ?initial p =
 
 let is_cover p chosen =
   let covered = Array.make (max 1 p.elements) false in
-  Bitset.iter (fun c -> List.iter (fun el -> covered.(el) <- true) (p.covered_by c)) chosen;
+  Bitset.iter (fun c -> Array.iter (fun el -> covered.(el) <- true) (p.covered_by c)) chosen;
   let ok = ref true in
   for el = 0 to p.elements - 1 do
     if not covered.(el) then ok := false

@@ -39,7 +39,7 @@ type problem = {
   elements : int;               (** elements are [0 .. elements-1] *)
   candidates : int;             (** candidates are [0 .. candidates-1] *)
   weight : int -> int;          (** non-negative candidate weights *)
-  covered_by : int -> int list;
+  covered_by : int -> int array;
       (** the elements a candidate covers; {!solve}, {!greedy} and
           {!init} call it exactly once per candidate *)
 }

@@ -98,21 +98,24 @@ let augment ?config ledger rng ~bfs_forest segments =
      tree edges on its fundamental path *)
   let element x = if x > root then x - 1 else x in
   let covered_by e =
-    if Rooted_tree.is_tree_edge tree e then []
+    if Rooted_tree.is_tree_edge tree e then [||]
     else begin
       let u = Graph.edge_u g e and v = Graph.edge_v g e in
-      let ld = Rooted_tree.depth tree (Rooted_tree.lca tree u v) in
-      let acc = ref [] in
+      let depth = Rooted_tree.depth tree in
+      let ld = depth (Rooted_tree.lca tree u v) in
+      let path = Array.make (depth u + depth v - (2 * ld)) 0 in
+      let i = ref 0 in
       let walk x0 =
         let x = ref x0 in
-        while Rooted_tree.depth tree !x > ld do
-          acc := element !x :: !acc;
+        while depth !x > ld do
+          path.(!i) <- element !x;
+          incr i;
           x := Rooted_tree.parent tree !x
         done
       in
       walk u;
       walk v;
-      !acc
+      path
     end
   in
   let cover =

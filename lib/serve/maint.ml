@@ -290,7 +290,7 @@ let repair t =
               weight = (fun e -> Graph.weight t.g e);
               covered_by =
                 (fun e ->
-                  if t.lev.(e) < 0 || Bitset.mem base e then []
+                  if t.lev.(e) < 0 || Bitset.mem base e then [||]
                   else begin
                     let u, v = Graph.endpoints t.g e in
                     let acc = ref [] in
@@ -299,7 +299,7 @@ let repair t =
                         if Bitset.mem side u <> Bitset.mem side v then
                           acc := idx :: !acc)
                       cut_arr;
-                    !acc
+                    Array.of_list !acc
                   end);
             }
           in

@@ -21,7 +21,7 @@ let random_problem rng ~elements ~candidates ~max_w =
     Cover.elements;
     candidates;
     weight = (fun c -> weights.(c));
-    covered_by = (fun c -> covered_by.(c));
+    covered_by = (fun c -> Array.of_list covered_by.(c));
   }
 
 let strategies =
@@ -124,7 +124,7 @@ let framework_tests =
             Cover.elements = 2;
             candidates = 1;
             weight = (fun _ -> 1);
-            covered_by = (fun _ -> [ 0 ]);
+            covered_by = (fun _ -> [| 0 |]);
           }
         in
         (match Cover.solve (Rng.create ~seed:1) p (Cover.Voting { divisor = 8 }) with
@@ -139,8 +139,8 @@ let framework_tests =
             weight = (fun c -> if c = 2 then 0 else 5);
             covered_by =
               (fun c ->
-                if c = 2 then List.init 10 Fun.id
-                else List.init 5 (fun i -> (5 * c) + i));
+                if c = 2 then Array.init 10 Fun.id
+                else Array.init 5 (fun i -> (5 * c) + i));
           }
         in
         let r = Cover.solve (Rng.create ~seed:1) p (Cover.Voting { divisor = 8 }) in

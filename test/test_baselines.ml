@@ -76,6 +76,22 @@ let greedy_tests =
               (Printf.sprintf "k=%d" k)
               (Verify.check_kecss g sol ~k).Verify.ok)
           [ 1; 2; 3 ]);
+    case "greedy kecss on a lambda=2 graph fails in the repair net" (fun () ->
+        (* two K4s joined by two disjoint edges: that pair is a 2-cut no
+           edge outside H can cover at level 3 *)
+        let k4 a =
+          [ (a, a + 1); (a, a + 2); (a, a + 3); (a + 1, a + 2); (a + 1, a + 3);
+            (a + 2, a + 3) ]
+        in
+        let g =
+          Graph.make ~n:8
+            (List.map (fun (u, v) -> (u, v, 1))
+               (k4 0 @ k4 4 @ [ (0, 4); (1, 5) ]))
+        in
+        check_int "lambda" 2 (Edge_connectivity.lambda g);
+        Alcotest.check_raises "repair-net failure"
+          (Failure "Edge_connectivity.greedy_repair: graph is not k-edge-connected")
+          (fun () -> ignore (Greedy.kecss g ~k:3)));
     case "greedy TAP beats the trivial all-edges solution" (fun () ->
         let g = List.assoc "rand30" (two_ec_pool ()) in
         let tree = Rooted_tree.bfs_tree g ~root:0 in

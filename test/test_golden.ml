@@ -108,6 +108,31 @@ let tap_lines () =
   in
   [ ecss2_line name "2ecss" g; ecss2_line ~tap_config name "2ecss forced" g ]
 
+(* the sequential greedy baseline: k=3 on unit weights, where every ratio
+   ties within a step and the lowest edge id decides, and greedy TAP as
+   Greedy.augmentation over a BFS tree at k=2 (the tree's bridges are its
+   edges) *)
+let greedy_lines () =
+  let unit_line name g =
+    let s = Kecss_baselines.Greedy.kecss g ~k:3 in
+    Printf.sprintf "%s greedy k=3 unit: solution=%s size=%d" name
+      (digest_mask s) (Bitset.cardinal s)
+  in
+  let tap_line (name, g) =
+    let h = Rooted_tree.edges_mask (Rooted_tree.bfs_tree g ~root:0) in
+    let a = Kecss_baselines.Greedy.augmentation g ~h ~k:2 in
+    Printf.sprintf "%s greedy tap: augmentation=%s weight=%d" name
+      (digest_mask a) (Graph.mask_weight g a)
+  in
+  let rng = Rng.create ~seed:4038 in
+  let rand48 = Gen.random_k_connected rng 48 3 ~extra:48 in
+  [
+    unit_line "hyper4" (Gen.hypercube 4);
+    unit_line "rand48" rand48;
+    tap_line (sparse_graph ());
+    tap_line ("rand48", rand48);
+  ]
+
 (* one traced Kecss k=3 solve: the digest of its exported event stream *)
 let trace_line () =
   let _, g = List.hd (golden_pool ()) in
@@ -171,6 +196,10 @@ let expected =
     "rand22 mds voting: set=9f5befc53930aa8a17c3388807079a91 size=5 iterations=2";
     "sparse96 2ecss: solution=2054dd9dd1f787aea29dfda79e8fe0d0 iterations=6 forced=0 cost_sum=0x1.80f70f70f70f7p+9 rounds=899 messages=17271";
     "sparse96 2ecss forced: solution=1ebad88f459dff732def62d1935a4bd7 iterations=15 forced=12 cost_sum=0x1.08ee1ee1ee1edp+8 rounds=1421 messages=28620";
+    "hyper4 greedy k=3 unit: solution=2715b248081d1d05fd53d99f93025c7d size=25";
+    "rand48 greedy k=3 unit: solution=f6275b9fbb6939f025800bfdfdeb93b1 size=74";
+    "sparse96 greedy tap: augmentation=869222ce7c0a3162b932c439d3e5f4b4 weight=575";
+    "rand48 greedy tap: augmentation=e45febca9cef1f2fa31354aea32b1da9 weight=15";
     "trace kecss k=3: events=1007 digest=15454bffeb89ee4231045ed248123a59";
     "trace 2ecss: events=378 digest=f0a27ce2d4e6eddca5b2f22d1bedaf23";
   ]
@@ -181,6 +210,7 @@ let golden_tests =
         let actual =
           List.concat_map graph_lines (golden_pool ())
           @ tap_lines ()
+          @ greedy_lines ()
           @ [ trace_line (); trace_ecss2_line () ]
         in
         Alcotest.(check (list string)) "golden lines" expected actual);

@@ -7,17 +7,20 @@
 
 open Kecss_graph
 
-val tap : Graph.t -> Rooted_tree.t -> Bitset.t
-(** Greedy weighted TAP: repeatedly add the non-tree edge maximizing
-    |uncovered path edges| / w(e) (zero-weight edges first) until every
-    tree edge is covered. Returns the augmentation A. *)
-
 val augmentation : Graph.t -> h:Bitset.t -> k:int -> Bitset.t
-(** Greedy Aug_k over the enumerated size-(k−1) cuts of H (exhaustive
-    enumeration — small instances only, n ≤ 24): repeatedly add the edge
-    maximizing uncovered-cuts/weight. Exact-coverage greedy, so its ratio
-    is the classical H_n bound. *)
+(** Greedy Aug_k: {!Kecss_core.Cover.greedy} on Aug_k's own covering
+    instance ({!Kecss_core.Augk.covering}) over the minimum cuts of H, as
+    {!Kecss_connectivity.Min_cut_enum.min_cuts} enumerates them: bridges
+    when λ(H) = 1, otherwise exhaustively at n ≤ 16 and, above that, from
+    the circulation labels (cut pairs) or by Karger contraction. Each step adds
+    the edge maximizing uncovered-cuts/weight, zero-weight edges first and
+    the lowest edge id among ties — exact-coverage greedy, so its ratio is
+    the classical H_n bound. The exact repair net
+    {!Kecss_connectivity.Edge_connectivity.greedy_repair} ends it, so the
+    result makes H k-edge-connected, or raises its [Failure] when G is
+    not. With H a spanning tree and [k = 2] the cuts are the tree edges:
+    this is greedy weighted TAP. Raises [Invalid_argument] unless H is
+    exactly (k−1)-edge-connected or already k-edge-connected. *)
 
 val kecss : Graph.t -> k:int -> Bitset.t
-(** Greedy k-ECSS: MST, then {!augmentation} level by level. Small
-    instances only. *)
+(** Greedy k-ECSS: MST, then {!augmentation} level by level. *)

@@ -50,6 +50,21 @@ let charge_iteration ledger ~bfs_forest ~added =
     (Prim.broadcast_list ~record:false ledger bfs_forest ~items:(fun _ ->
          [| 0 |] :: List.map (fun e -> [| e |]) added))
 
+let covering g ~h cuts =
+  {
+    Cover.elements = Array.length cuts;
+    candidates = Graph.m g;
+    weight = Graph.weight g;
+    covered_by =
+      (fun e ->
+        let acc = ref [] in
+        if not (Bitset.mem h e) then
+          for ci = Array.length cuts - 1 downto 0 do
+            if Min_cut_enum.covers g cuts.(ci) e then acc := ci :: !acc
+          done;
+        Array.of_list !acc);
+  }
+
 let augment ?config ledger rng ~bfs_forest g ~h ~k =
   Rounds.scoped ledger "augk" @@ fun () ->
   let tr = Rounds.trace ledger in
@@ -78,24 +93,8 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
       Array.of_list
         (Min_cut_enum.enumerate ~mask:h ~rng:(Rng.split rng) g ~size:(k - 1))
     in
-    (* the §2.1 covering instance: the cuts are the elements, the edges
-       outside H the candidates, and A is the chosen set *)
-    let cover =
-      Cover.init
-        {
-          Cover.elements = Array.length cuts;
-          candidates = m;
-          weight = Graph.weight g;
-          covered_by =
-            (fun e ->
-              let acc = ref [] in
-              if not (Bitset.mem h e) then
-                for ci = Array.length cuts - 1 downto 0 do
-                  if Min_cut_enum.covers g cuts.(ci) e then acc := ci :: !acc
-                done;
-              Array.of_list !acc);
-        }
-    in
+    (* A is the covering instance's chosen set *)
+    let cover = Cover.init (covering g ~h cuts) in
     let a = Cover.chosen cover in
     (* measured round cost of the distributed MST filter, calibrated once *)
     let mst_rounds = ref None in

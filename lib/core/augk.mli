@@ -54,6 +54,16 @@ type result = {
   active_weight : int; (** total weight of all edges ever active (§4.2's A') *)
 }
 
+val covering :
+  Graph.t -> h:Bitset.t -> Kecss_connectivity.Min_cut_enum.cut array ->
+  Cover.problem
+(** [covering g ~h cuts] is the §2.1 covering instance of Aug_k: the cuts
+    are the elements, every edge of [g] is a candidate at its weight, and
+    an edge outside [h] covers the cuts it crosses
+    ({!Kecss_connectivity.Min_cut_enum.covers}); an edge of [h] covers
+    nothing. {!augment} runs it through {!Cover.init} and the guessing
+    loop, [Kecss_baselines.Greedy.augmentation] through {!Cover.greedy}. *)
+
 val augment :
   ?config:config ->
   Rounds.t ->

@@ -17,7 +17,11 @@
        {!candidates_at}, {!ce}, {!uncovered}, {!chosen}): {!Tap} runs on
        it with the tree edges as elements and the non-tree edges as
        candidates, {!Augk} with the size-(k−1) cuts of H as elements and
-       the edges as candidates;}
+       the edges as candidates ({!Augk.covering});}
+    {- the sequential greedy ({!greedy}): [Kecss_baselines.Greedy] runs
+       it on {!Augk.covering}'s instance, {!Mds} as its sequential
+       baseline, and the [kecss serve] repair ([Kecss_serve.Maint]) to
+       re-cover the witness cuts it finds;}
     {- the §3 voting step ({!voting}): {!Voting} and {!Tap} both call
        it, so ranks, votes, the threshold and the §3.3 charging exist
        once;}

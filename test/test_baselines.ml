@@ -58,10 +58,8 @@ let greedy_tests =
     case "greedy TAP covers the tree" (fun () ->
         List.iter
           (fun (name, g) ->
-            let tree = Rooted_tree.bfs_tree g ~root:0 in
-            let a = Greedy.tap g tree in
-            let sol = Rooted_tree.edges_mask tree in
-            Bitset.union_into sol a;
+            let sol = Rooted_tree.edges_mask (Rooted_tree.bfs_tree g ~root:0) in
+            Bitset.union_into sol (Greedy.augmentation g ~h:sol ~k:2);
             check_is (name ^ " 2EC") (Dfs.is_two_edge_connected ~mask:sol g))
           (two_ec_pool ()));
     case "greedy kecss verified for k=1..3" (fun () ->
@@ -94,8 +92,8 @@ let greedy_tests =
           (fun () -> ignore (Greedy.kecss g ~k:3)));
     case "greedy TAP beats the trivial all-edges solution" (fun () ->
         let g = List.assoc "rand30" (two_ec_pool ()) in
-        let tree = Rooted_tree.bfs_tree g ~root:0 in
-        let a = Greedy.tap g tree in
+        let h = Rooted_tree.edges_mask (Rooted_tree.bfs_tree g ~root:0) in
+        let a = Greedy.augmentation g ~h ~k:2 in
         check_is "strictly cheaper than everything"
           (Graph.mask_weight g a < Graph.total_weight g));
   ]

@@ -172,6 +172,18 @@ let pretty_ns ns =
   else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
 
+(* a row's unit, read off its name: the deterministic counters carry
+   their kind as a suffix, fractions and quotients name themselves, and
+   every other row is wall-clock nanoseconds *)
+let pretty_row name v =
+  let ends suffix = String.ends_with ~suffix name in
+  if Float.is_nan v then "n/a"
+  else if ends "-allocwords" then Printf.sprintf "%.0f w" v
+  else if ends "-rounds" || ends "-messages" then Printf.sprintf "%.0f" v
+  else if ends "-ratio" || String.starts_with ~prefix:"sparsify/retained-" name
+  then Printf.sprintf "%.4f" v
+  else pretty_ns v
+
 (* relative change; [None] when the percentage is meaningless — a zero
    or non-finite baseline has no scale to measure against. A metric that
    appears (old 0, new nonzero) must read as "new metric", never as an
@@ -221,16 +233,17 @@ let compare ~threshold ~old_e ~new_e =
       (fun (name, new_ns) ->
         match List.assoc_opt name old_e.tests with
         | None -> Printf.printf "%-44s %12s %12s %8s %s\n" name "-"
-            (pretty_ns new_ns) "-" "new test"
+            (pretty_row name new_ns) "-" "new test"
         | Some old_ns -> (
           let new_ns = canonical new_ns in
           match rel_delta ~old_v:old_ns ~new_v:new_ns with
           | Some d ->
             Printf.printf "%-44s %12s %12s %+7.1f%% %s\n" name
-              (pretty_ns old_ns) (pretty_ns new_ns) (100.0 *. d) (judge d)
+              (pretty_row name old_ns) (pretty_row name new_ns) (100.0 *. d)
+              (judge d)
           | None ->
-            Printf.printf "%-44s %12s %12s %8s %s\n" name (pretty_ns old_ns)
-              (pretty_ns new_ns) "-"
+            Printf.printf "%-44s %12s %12s %8s %s\n" name
+              (pretty_row name old_ns) (pretty_row name new_ns) "-"
               (if old_ns = 0.0 && new_ns <> 0.0 && Float.is_finite new_ns
                then "new metric"
                else "n/a")))

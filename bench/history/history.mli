@@ -41,6 +41,13 @@ val load : string -> (entry list, string) result
 val pretty_ns : float -> string
 (** Human-readable nanoseconds; NaN renders as ["n/a"]. *)
 
+val pretty_row : string -> float -> string
+(** A history row's value in the unit its name implies: [*-allocwords]
+    rows in words, [*-rounds] and [*-messages] rows as counts, [*-ratio]
+    and [sparsify/retained-*] rows as plain ratios, and every other row
+    (the [kecss/hot/*] micros and the wall-clock tier rows) through
+    {!pretty_ns}. NaN renders as ["n/a"]. *)
+
 val rel_delta : old_v:float -> new_v:float -> float option
 (** Relative change [(new - old) / |old|]. [None] when the percentage is
     meaningless: a non-finite value on either side, or a zero baseline

@@ -54,6 +54,28 @@ let compare_tests =
           (History.compare ~threshold:0.10 ~old_e ~new_e));
   ]
 
+(* the unit comes from the row's name: an allocation total must not read
+   as a time *)
+let unit_tests =
+  [
+    case "rows print in the unit their name implies" (fun () ->
+        let check name v expected =
+          Alcotest.(check string) name expected (History.pretty_row name v)
+        in
+        check "scale/greedy-k3-n256-allocwords" 24473753.0 "24473753 w";
+        check "scale/kecss-k3-n256-rounds" 793139.0 "793139";
+        check "scale/solve-n16384-messages" 455081.0 "455081";
+        check "sparsify/retained-cert" 0.015561657172 "0.0156";
+        check "sparsify/cert-over-base-ratio" 0.25 "0.2500";
+        check "kecss/hot/gen-n4096" 3422428.27062 "3.42 ms";
+        check "scale/solve-n16384" 2.5e9 "2.50 s";
+        check "scale/solve-n16384-allocwords" Float.nan "n/a");
+  ]
+
 let () =
   Alcotest.run "bench_history"
-    [ ("rel_delta", rel_delta_tests); ("compare", compare_tests) ]
+    [
+      ("rel_delta", rel_delta_tests);
+      ("compare", compare_tests);
+      ("units", unit_tests);
+    ]

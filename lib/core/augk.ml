@@ -93,7 +93,6 @@ let augment ?config ledger rng ~bfs_forest g ~h ~k =
       Array.of_list
         (Min_cut_enum.enumerate ~mask:h ~rng:(Rng.split rng) g ~size:(k - 1))
     in
-    (* A is the covering instance's chosen set *)
     let cover = Cover.init (covering g ~h cuts) in
     let a = Cover.chosen cover in
     (* measured round cost of the distributed MST filter, calibrated once *)
